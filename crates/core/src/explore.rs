@@ -6,13 +6,17 @@
 //! bottoms out in exhaustive exploration of a state graph. This module
 //! provides the three cooperating layers they build on:
 //!
-//! 1. **State interning** ([`Engine`]): worlds are hash-consed into
-//!    [`IWorld`]s whose thread and memory components are structurally
-//!    shared behind [`Arc`]s, so a visited set stores a handful of
-//!    32-bit ids instead of deep-cloned worlds, and successor dedup
-//!    re-hashes only the *changed* component of a step (one thread
+//! 1. **State interning** ([`ParEngine`], and the sequential [`Engine`]
+//!    that `race`'s serial checkers still use): worlds are hash-consed
+//!    into [`IWorld`]s whose thread and memory components are
+//!    structurally shared behind [`Arc`]s, so a visited set stores a
+//!    handful of 32-bit ids instead of deep-cloned worlds, and successor
+//!    dedup re-hashes only the *changed* component of a step (one thread
 //!    state, and the memory only when it actually changed) instead of
-//!    the whole world.
+//!    the whole world. `ParEngine` also memoises each interned
+//!    `(thread, memory)` pair's local expansion, and serves both the
+//!    parallel checkers and single-threaded trace collection
+//!    ([`collect_traces_preemptive`](crate::refine::collect_traces_preemptive)).
 //!
 //! 2. **Footprint-directed partial-order reduction**
 //!    ([`Reduction::Ample`]): the paper's own instrumented footprints
@@ -26,7 +30,7 @@
 //!    shared-region access stay fully interleaved, which preserves
 //!    event-trace sets and race reachability. Soundness is
 //!    unconditional: the engine *monitors* the scoping discipline while
-//!    exploring (see [`Engine::scoping_ok`]) and callers fall back to
+//!    exploring (see [`ParEngine::scoping_ok`]) and callers fall back to
 //!    the unreduced exploration if a step ever escapes its region; the
 //!    "ignoring" problem of ample-set reduction is handled by fully
 //!    expanding any state whose ample successor was already expanded,
@@ -59,7 +63,6 @@ use crate::lang::{Event, Lang, StepMsg};
 use crate::mem::{Addr, Memory};
 use crate::refine::{Semantics, SuccStep};
 use crate::world::{GLabel, LoadError, Loaded, ThreadId, ThreadState, ThreadStep, World};
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -649,64 +652,6 @@ impl<'a, L: Lang> Engine<'a, L> {
             out.extend(self.expand_thread(w, t));
         }
         out
-    }
-}
-
-/// The reduced, interned preemptive semantics as a
-/// [`Semantics`](crate::refine::Semantics) instance, so
-/// [`collect_traces`](crate::refine::collect_traces) (and with it trace
-/// refinement `⊑`) runs on the engine unchanged.
-pub struct EnginePreemptive<'a, L: Lang> {
-    engine: RefCell<Engine<'a, L>>,
-}
-
-impl<L: Lang> fmt::Debug for EnginePreemptive<'_, L> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "EnginePreemptive({:?})", self.engine.borrow())
-    }
-}
-
-impl<'a, L: Lang> EnginePreemptive<'a, L> {
-    /// Wraps a loaded program with the given reduction mode.
-    pub fn new(loaded: &'a Loaded<L>, reduction: Reduction) -> EnginePreemptive<'a, L> {
-        EnginePreemptive {
-            engine: RefCell::new(Engine::new(loaded, reduction)),
-        }
-    }
-
-    /// See [`Engine::scoping_ok`].
-    pub fn scoping_ok(&self) -> bool {
-        self.engine.borrow().scoping_ok()
-    }
-}
-
-impl<L: Lang> Semantics for EnginePreemptive<'_, L> {
-    type State = IWorld;
-
-    fn initials(&self) -> Result<Vec<IWorld>, LoadError> {
-        Ok(vec![self.engine.borrow_mut().load()?])
-    }
-
-    fn successors(&self, s: &IWorld) -> Vec<SuccStep<IWorld>> {
-        self.engine
-            .borrow_mut()
-            .successors(s)
-            .into_iter()
-            .map(|g| match g {
-                IStep::Next { label, world, .. } => SuccStep::Next {
-                    event: match label {
-                        GLabel::Ev(e) => Some(e),
-                        _ => None,
-                    },
-                    state: world,
-                },
-                IStep::Abort => SuccStep::Abort,
-            })
-            .collect()
-    }
-
-    fn is_done(&self, s: &IWorld) -> bool {
-        self.engine.borrow().is_done(s)
     }
 }
 
@@ -1679,6 +1624,70 @@ impl<'a, L: Lang> ParEngine<'a, L> {
             self.emit(w, *t, entry, out);
         }
     }
+
+    /// True if every thread of `w` has terminated.
+    pub fn is_done(&self, w: &IWorld) -> bool {
+        w.threads.iter().all(|&t| self.threads.get(t).is_done())
+    }
+}
+
+/// The reduced, interned preemptive semantics as a single-threaded
+/// [`Semantics`] instance over a [`ParEngine`], so
+/// [`collect_traces`](crate::refine::collect_traces) runs on the
+/// memoised expansions unchanged.
+///
+/// The ample "ignoring" guard asks an exact set of already-expanded
+/// states; `successors` inserts each state before expanding it — the
+/// claim-before-expand order of [`ws_explore_until`] — so the ample
+/// choices match [`Engine::successors`], which inserts into its own
+/// seen set the same way.
+pub(crate) struct ParPreemptive<'a, L: Lang> {
+    engine: ParEngine<'a, L>,
+    expanded: VisitedSet<IWorld>,
+}
+
+impl<'a, L: Lang> ParPreemptive<'a, L> {
+    pub(crate) fn new(loaded: &'a Loaded<L>, reduction: Reduction) -> ParPreemptive<'a, L> {
+        ParPreemptive {
+            engine: ParEngine::new(loaded, reduction),
+            expanded: VisitedSet::new(VisitedMode::Exact),
+        }
+    }
+
+    /// See [`ParEngine::scoping_ok`].
+    pub(crate) fn scoping_ok(&self) -> bool {
+        self.engine.scoping_ok()
+    }
+}
+
+impl<L: Lang> Semantics for ParPreemptive<'_, L> {
+    type State = IWorld;
+
+    fn initials(&self) -> Result<Vec<IWorld>, LoadError> {
+        Ok(vec![self.engine.load()?])
+    }
+
+    fn successors(&self, s: &IWorld) -> Vec<SuccStep<IWorld>> {
+        self.expanded.insert(s);
+        let mut out = Vec::new();
+        self.engine.successors_into(s, &self.expanded, &mut out);
+        out.into_iter()
+            .map(|g| match g {
+                IStep::Next { label, world, .. } => SuccStep::Next {
+                    event: match label {
+                        GLabel::Ev(e) => Some(e),
+                        _ => None,
+                    },
+                    state: world,
+                },
+                IStep::Abort => SuccStep::Abort,
+            })
+            .collect()
+    }
+
+    fn is_done(&self, s: &IWorld) -> bool {
+        self.engine.is_done(s)
+    }
 }
 
 #[cfg(test)]
@@ -1686,7 +1695,9 @@ mod tests {
     use super::*;
     use crate::lang::Prog;
     use crate::race::check_drf;
-    use crate::refine::{collect_traces, trace_equiv, ExploreCfg, Preemptive};
+    use crate::refine::{
+        collect_traces, collect_traces_preemptive, trace_equiv, ExploreCfg, Preemptive,
+    };
     use crate::toy::{toy_globals, toy_module, ToyInstr, ToyLang};
 
     #[test]
@@ -1761,7 +1772,7 @@ mod tests {
         let l = private_prefix_prog(3);
         let cfg = ExploreCfg::default();
         let naive = collect_traces(&Preemptive(&l), &cfg).expect("naive");
-        let red = EnginePreemptive::new(&l, Reduction::Ample);
+        let red = ParPreemptive::new(&l, Reduction::Ample);
         let reduced = collect_traces(&red, &cfg).expect("reduced");
         assert!(red.scoping_ok());
         assert!(trace_equiv(&naive, &reduced));
@@ -1771,6 +1782,14 @@ mod tests {
             "reduction must shrink the exploration ({} vs {})",
             reduced.expansions,
             naive.expansions
+        );
+        let cfg = ExploreCfg {
+            reduction: Reduction::Ample,
+            ..cfg
+        };
+        assert_eq!(
+            collect_traces_preemptive(&l, &cfg).expect("reduced"),
+            reduced
         );
     }
 

@@ -19,7 +19,7 @@
 //! programs (Lem. 9, steps ① and ② of Fig. 2).
 
 use crate::explore::{
-    par_explore_with, EnginePreemptive, FxHashMap, FxHashSet, Reduction, VisitedMode,
+    par_explore_with, FxHashMap, FxHashSet, ParPreemptive, Reduction, VisitedMode,
 };
 use crate::lang::{Event, Lang};
 use crate::npworld::{NpStep, NpWorld};
@@ -33,7 +33,7 @@ use std::rc::Rc;
 pub struct ExploreCfg {
     /// Maximum number of global steps along any single path.
     pub fuel: usize,
-    /// Overall budget on explored (state, fuel) pairs / visited states.
+    /// Overall budget on expanded / visited states.
     pub max_states: usize,
     /// Bound on `τ*` lookahead inside atomic blocks (race prediction).
     pub atomic_fuel: usize,
@@ -124,7 +124,8 @@ pub struct TraceSet {
     /// True if the exploration budget was exhausted somewhere (some
     /// behaviours may be missing beyond the recorded `Cut` prefixes).
     pub truncated: bool,
-    /// Number of distinct `(state, fuel)` expansions performed.
+    /// Number of distinct states expanded (the collector memoises
+    /// suffix traces per state, so each is expanded at most once).
     pub expansions: usize,
 }
 
@@ -240,10 +241,48 @@ impl<L: Lang> Semantics for NonPreemptive<'_, L> {
     }
 }
 
+/// A suffix-trace set, shared between the memo and every frame that
+/// has not had to copy it (see [`merge_suffixes`]).
+type Suffixes = Rc<BTreeSet<Trace>>;
+
+/// Folds `sub`, the suffix traces of a successor reached over `edge`,
+/// into a frame's accumulated `out`. Over an event-free edge the sets
+/// are shared, not copied: an empty `out` takes `sub` itself, and a set
+/// contained in the other keeps the larger one. A copy is made only
+/// when a second, different set is merged in, or when `edge`'s event
+/// has to be prepended to every trace.
+fn merge_suffixes(out: &mut Option<Suffixes>, edge: Option<Event>, sub: &Suffixes) {
+    match (edge, out.as_mut()) {
+        (None, None) => *out = Some(Rc::clone(sub)),
+        (None, Some(cur)) => {
+            if Rc::ptr_eq(cur, sub) || sub.is_subset(cur) {
+                return;
+            }
+            if cur.is_subset(sub) {
+                *cur = Rc::clone(sub);
+                return;
+            }
+            let set = Rc::make_mut(cur);
+            for t in sub.iter() {
+                if !set.contains(t) {
+                    set.insert(t.clone());
+                }
+            }
+        }
+        (Some(e), _) => {
+            let set = Rc::make_mut(out.get_or_insert_with(Suffixes::default));
+            set.extend(sub.iter().map(|t| Trace::cons(Some(e), t.clone())));
+        }
+    }
+}
+
 struct Collector<'a, S: Semantics> {
     sem: &'a S,
     cfg: &'a ExploreCfg,
-    memo: FxHashMap<S::State, Rc<BTreeSet<Trace>>>,
+    memo: FxHashMap<S::State, Suffixes>,
+    /// The singleton set `{⟨⟩ · end}` for each [`Terminal`], indexed by
+    /// its discriminant, shared by every leaf that resolves to it.
+    ends: [Suffixes; 4],
     /// States on the current DFS path (cycle detection).
     on_path: FxHashSet<S::State>,
     expansions: usize,
@@ -258,14 +297,18 @@ struct TraceFrame<St> {
     edge: Option<Event>,
     succs: Vec<SuccStep<St>>,
     next: usize,
-    out: BTreeSet<Trace>,
+    out: Option<Suffixes>,
 }
 
 impl<S: Semantics> Collector<'_, S> {
+    fn just(&self, end: Terminal) -> Suffixes {
+        Rc::clone(&self.ends[end as usize])
+    }
+
     /// Resolves `s` without expanding it, if possible: memo hit, cycle
     /// (diverges), terminated, or budget exhausted. `None` means the
     /// state needs expansion.
-    fn resolve_leaf(&mut self, s: &S::State) -> Option<Rc<BTreeSet<Trace>>> {
+    fn resolve_leaf(&mut self, s: &S::State) -> Option<Suffixes> {
         if let Some(hit) = self.memo.get(s) {
             return Some(hit.clone());
         }
@@ -273,16 +316,16 @@ impl<S: Semantics> Collector<'_, S> {
             // A cycle: this schedule diverges (no new events past the
             // revisit, since the loop body's events were already
             // prepended on the way in). Exact, so not a truncation.
-            return Some(Rc::new([Trace::just(Terminal::Diverge)].into()));
+            return Some(self.just(Terminal::Diverge));
         }
         if self.sem.is_done(s) {
-            let rc: Rc<BTreeSet<_>> = Rc::new([Trace::just(Terminal::Done)].into());
+            let rc = self.just(Terminal::Done);
             self.memo.insert(s.clone(), rc.clone());
             return Some(rc);
         }
         if self.expansions >= self.cfg.max_states {
             self.truncated = true;
-            return Some(Rc::new([Trace::just(Terminal::Cut)].into()));
+            return Some(self.just(Terminal::Cut));
         }
         None
     }
@@ -294,10 +337,7 @@ impl<S: Semantics> Collector<'_, S> {
         self.expansions += 1;
         self.on_path.insert(state.clone());
         let succs = self.sem.successors(&state);
-        let mut out = BTreeSet::new();
-        if succs.is_empty() {
-            out.insert(Trace::just(Terminal::Abort));
-        }
+        let out = succs.is_empty().then(|| self.just(Terminal::Abort));
         TraceFrame {
             state,
             edge,
@@ -315,7 +355,7 @@ impl<S: Semantics> Collector<'_, S> {
     /// instead of `states × fuel`, and the DFS runs on an explicit heap
     /// stack so deep state graphs cannot overflow the call stack before
     /// reaching `max_states`.
-    fn traces(&mut self, root: &S::State) -> Rc<BTreeSet<Trace>> {
+    fn traces(&mut self, root: &S::State) -> Suffixes {
         if let Some(rc) = self.resolve_leaf(root) {
             return rc;
         }
@@ -333,13 +373,11 @@ impl<S: Semantics> Collector<'_, S> {
                     // inert placeholder) so `self` can be borrowed.
                     match std::mem::replace(&mut top.succs[i], SuccStep::Abort) {
                         SuccStep::Abort => {
-                            top.out.insert(Trace::just(Terminal::Abort));
+                            merge_suffixes(&mut top.out, None, &self.just(Terminal::Abort));
                         }
                         SuccStep::Next { event, state } => {
                             if let Some(sub) = self.resolve_leaf(&state) {
-                                for t in sub.iter() {
-                                    top.out.insert(Trace::cons(event, t.clone()));
-                                }
+                                merge_suffixes(&mut top.out, event, &sub);
                             } else {
                                 descend = Some((state, event));
                                 break;
@@ -357,15 +395,11 @@ impl<S: Semantics> Collector<'_, S> {
             // traces into the parent (or return at the root).
             let done = stack.pop().expect("stack nonempty");
             self.on_path.remove(&done.state);
-            let rc = Rc::new(done.out);
+            let rc = done.out.unwrap_or_default();
             self.memo.insert(done.state, rc.clone());
             match stack.last_mut() {
                 None => return rc,
-                Some(parent) => {
-                    for t in rc.iter() {
-                        parent.out.insert(Trace::cons(done.edge, t.clone()));
-                    }
-                }
+                Some(parent) => merge_suffixes(&mut parent.out, done.edge, &rc),
             }
         }
     }
@@ -395,6 +429,13 @@ pub fn collect_traces<S: Semantics>(sem: &S, cfg: &ExploreCfg) -> Result<TraceSe
         sem,
         cfg,
         memo: FxHashMap::default(),
+        ends: [
+            Terminal::Done,
+            Terminal::Abort,
+            Terminal::Diverge,
+            Terminal::Cut,
+        ]
+        .map(|end| Rc::new([Trace::just(end)].into())),
         on_path: FxHashSet::default(),
         expansions: 0,
         truncated: false,
@@ -413,11 +454,14 @@ pub fn collect_traces<S: Semantics>(sem: &S, cfg: &ExploreCfg) -> Result<TraceSe
 /// Collects the bounded trace set of a loaded program under the
 /// preemptive semantics, honouring `cfg.reduction`: with
 /// [`Reduction::Off`] this is exactly `collect_traces(&Preemptive(l))`;
-/// otherwise the interning + partial-order-reducing engine
-/// ([`EnginePreemptive`]) explores instead, and if its scoping monitor
-/// trips (a step's footprint escaped its thread's region, voiding the
-/// independence argument) the exhaustive exploration is re-run so the
-/// result is always sound.
+/// otherwise [`collect_traces`] runs single-threaded over the interned,
+/// memoised, partial-order-reducing
+/// [`ParEngine`](crate::explore::ParEngine) — the engine the parallel
+/// DRF checks use — and if its scoping monitor trips (a step's
+/// footprint escaped its thread's region, voiding the independence
+/// argument) the exhaustive exploration is re-run so the result is
+/// always sound. `cfg.threads` and `cfg.visited` do not apply: the
+/// ample cycle guard always checks an exact set of expanded states.
 ///
 /// # Errors
 ///
@@ -429,7 +473,7 @@ pub fn collect_traces_preemptive<L: Lang>(
     if cfg.reduction == Reduction::Off {
         return collect_traces(&Preemptive(loaded), cfg);
     }
-    let sem = EnginePreemptive::new(loaded, cfg.reduction);
+    let sem = ParPreemptive::new(loaded, cfg.reduction);
     let ts = collect_traces(&sem, cfg)?;
     if sem.scoping_ok() {
         Ok(ts)
@@ -787,5 +831,37 @@ mod tests {
         let r = check_safe(&Preemptive(&l), &ExploreCfg::default()).expect("safe");
         assert!(r.safe);
         assert!(!r.truncated);
+    }
+
+    #[test]
+    fn suffix_sets_are_shared_until_they_differ() {
+        let done = Trace::just(Terminal::Done);
+        let printed = Trace::cons(Some(Event::Print(1)), done.clone());
+        let a: Suffixes = Rc::new([done.clone()].into());
+        let ab: Suffixes = Rc::new([done.clone(), printed.clone()].into());
+
+        // τ-edges share: the first set is taken as is, a contained one
+        // changes nothing, a containing one replaces it.
+        let mut out = None;
+        merge_suffixes(&mut out, None, &a);
+        assert!(Rc::ptr_eq(out.as_ref().unwrap(), &a));
+        merge_suffixes(&mut out, None, &a.clone());
+        merge_suffixes(&mut out, None, &ab);
+        assert!(Rc::ptr_eq(out.as_ref().unwrap(), &ab));
+        merge_suffixes(&mut out, None, &a);
+        assert!(Rc::ptr_eq(out.as_ref().unwrap(), &ab));
+
+        // A second, different set copies, leaving the shared ones intact.
+        let diverge: Suffixes = Rc::new([Trace::just(Terminal::Diverge)].into());
+        merge_suffixes(&mut out, None, &diverge);
+        assert_eq!(out.as_ref().unwrap().len(), 3);
+        assert_eq!(ab.len(), 2);
+        assert_eq!(diverge.len(), 1);
+
+        // An event edge prepends, so it always copies.
+        let mut out = None;
+        merge_suffixes(&mut out, Some(Event::Print(1)), &a);
+        assert_eq!(*out.unwrap(), [printed].into());
+        assert_eq!(*a, [done].into());
     }
 }

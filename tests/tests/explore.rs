@@ -7,20 +7,24 @@
 //! every observable — DRF and NPDRF verdicts, per-thread footprint
 //! unions, and full trace sets.
 //!
-//! The file ends with two mutation tests: a deliberately overbroad
-//! ample condition (`Reduction::AmpleOverbroad`, which also treats
-//! silent *global* accesses as independent) must flip the DRF verdict
-//! on a program whose race hides behind private prefixes, and a worker
-//! that skips the seen-set cycle re-expansion
-//! (`Reduction::AmpleIgnoreCycles`, the C3 "ignoring problem") must
-//! ample-loop through a silent spin and miss a race every other engine
-//! reports — evidence that this battery would catch an unsound
-//! independence relation or cycle guard.
+//! The file ends with two seeded mutants, each caught through both the
+//! DRF check and trace collection: a deliberately overbroad ample
+//! condition (`Reduction::AmpleOverbroad`, which also treats silent
+//! *global* accesses as independent) must flip the DRF verdict on a
+//! program whose race hides behind private prefixes and lose traces
+//! that depend on a racing write, and a worker that skips the seen-set
+//! cycle re-expansion (`Reduction::AmpleIgnoreCycles`, the C3
+//! "ignoring problem") must ample-loop through a silent spin, missing a
+//! race and the prints every other engine reports — evidence that this
+//! battery would catch an unsound independence relation or cycle
+//! guard. A last test pins the expansion and trace counts of the fuzz
+//! oracle's TSO trace collection on three stream inputs.
 
 use ccc_analysis::{ample_hints, LockModel};
 use ccc_clight::ast::{Expr, Function, Stmt};
 use ccc_clight::gen::gen_concurrent_client;
 use ccc_clight::{ClightLang, ClightModule};
+use ccc_compiler::compile_with_artifacts_mutated;
 use ccc_core::lang::{Lang, Prog};
 use ccc_core::mem::{GlobalEnv, Val};
 use ccc_core::race::{
@@ -31,9 +35,11 @@ use ccc_core::refine::{collect_traces_preemptive, ExploreCfg};
 use ccc_core::toy::{toy_globals, toy_module, ToyInstr, ToyLang};
 use ccc_core::world::Loaded;
 use ccc_core::{AmpleHints, Reduction, VisitedMode};
-use ccc_fuzz::link::{load_client, SrcLang};
+use ccc_fuzz::link::{link_with_lock, load_client, SrcLang};
+use ccc_fuzz::mutation::stream_input;
 use ccc_fuzz::toygen::{arb_toy_threads, toy_loaded, Op};
 use ccc_fuzz::tsogen;
+use ccc_fuzz::{lower, OracleCfg};
 use ccc_machine::{litmus, AsmModule, X86Sc, X86Tso};
 use proptest::prelude::*;
 
@@ -163,7 +169,7 @@ proptest! {
     #[test]
     fn clight_engines_agree(seed in any::<u64>(), racy in any::<bool>()) {
         let loaded = clight_loaded(seed, 2, racy);
-        assert_engines_agree("generated clight", &loaded, false);
+        assert_engines_agree("generated clight", &loaded, true);
     }
 }
 
@@ -189,7 +195,7 @@ proptest! {
 
     #[test]
     fn tso_engines_agree(t0 in tsogen::arb_thread(), t1 in tsogen::arb_thread()) {
-        assert_engines_agree("generated tso", &tso_loaded(&t0, &t1), false);
+        assert_engines_agree("generated tso", &tso_loaded(&t0, &t1), true);
     }
 }
 
@@ -352,9 +358,55 @@ fn overbroad_ample_condition_is_caught_by_the_differential() {
 }
 
 #[test]
+fn overbroad_ample_condition_is_caught_through_traces() {
+    // Each thread writes its own value to the shared `x`, reads `x`
+    // back and prints it. Only a write of the other thread between the
+    // two silent global accesses makes a thread print the other's
+    // value; the overbroad ample condition runs each thread alone up
+    // to its print and loses those traces.
+    let thread = |k: i64| vec![Op::Priv(k), Op::Write(0), Op::Read(0), Op::Print];
+    let loaded = toy_loaded(&[thread(1), thread(2)]);
+
+    let naive = collect_traces_preemptive(&loaded, &cfg_with(Reduction::Off, 1)).expect("loads");
+    let sound = collect_traces_preemptive(&loaded, &cfg_with(Reduction::Ample, 1)).expect("loads");
+    let mutated =
+        collect_traces_preemptive(&loaded, &cfg_with(Reduction::AmpleOverbroad, 1)).expect("loads");
+    assert!(!naive.truncated && !sound.truncated && !mutated.truncated);
+    assert_eq!(
+        naive.traces, sound.traces,
+        "the shipped ample condition keeps every trace"
+    );
+    assert!(
+        mutated.traces.is_subset(&naive.traces) && mutated.traces.len() < naive.traces.len(),
+        "the seeded commutativity bug must lose traces ({} of {})",
+        mutated.traces.len(),
+        naive.traces.len()
+    );
+}
+
+/// t0 spins silently forever (`jmp 0`, a one-state cycle whose only
+/// step is an ample candidate); t1 and t2 race on the global `x` and
+/// print what they stored.
+fn spin_and_race() -> Loaded<ToyLang> {
+    let spin = vec![ToyInstr::Jmp(0)];
+    let write = vec![
+        ToyInstr::LoadG("x".into()),
+        ToyInstr::Add(1),
+        ToyInstr::StoreG("x".into()),
+        ToyInstr::Print,
+        ToyInstr::Ret(0),
+    ];
+    let (m, _) = toy_module(&[("t0", spin), ("t1", write.clone()), ("t2", write)], &[]);
+    Loaded::new(Prog::new(
+        ToyLang,
+        vec![(m, toy_globals(&[("x", 0)]))],
+        ["t0", "t1", "t2"],
+    ))
+    .expect("toy links")
+}
+
+#[test]
 fn skipping_cycle_reexpansion_is_caught_by_the_differential() {
-    // t0 spins silently forever (`jmp 0`, a one-state cycle whose only
-    // step is an ample candidate); t1 and t2 race on the global `x`.
     // Soundness of the reduction hangs on the C3 "ignoring" guard: an
     // engine must refuse an ample set whose successor is already in
     // the visited set and fall back to full expansion, so the racing
@@ -362,20 +414,7 @@ fn skipping_cycle_reexpansion_is_caught_by_the_differential() {
     // seeded unsoundness — a worker that skips that re-expansion — and
     // must ample-loop on t0 and report DRF, sequentially and at every
     // worker count, while every sound engine keeps the race.
-    let spin = vec![ToyInstr::Jmp(0)];
-    let write = vec![
-        ToyInstr::LoadG("x".into()),
-        ToyInstr::Add(1),
-        ToyInstr::StoreG("x".into()),
-        ToyInstr::Ret(0),
-    ];
-    let (m, _) = toy_module(&[("t0", spin), ("t1", write.clone()), ("t2", write)], &[]);
-    let loaded: Loaded<ToyLang> = Loaded::new(Prog::new(
-        ToyLang,
-        vec![(m, toy_globals(&[("x", 0)]))],
-        ["t0", "t1", "t2"],
-    ))
-    .expect("toy links");
+    let loaded = spin_and_race();
 
     let naive = check_drf(&loaded, &cfg_with(Reduction::Off, 1)).expect("loads");
     assert!(!naive.truncated);
@@ -410,4 +449,61 @@ fn skipping_cycle_reexpansion_is_caught_by_the_differential() {
         mutated.is_drf(),
         "differential testing flags the unsound cycle handling"
     );
+}
+
+#[test]
+fn skipping_cycle_reexpansion_is_caught_through_traces() {
+    // The same spin: a trace collector that ample-loops on t0 never
+    // schedules t1 or t2 and sees only the silent divergence, while
+    // every sound collection keeps their prints.
+    let loaded = spin_and_race();
+    let naive = collect_traces_preemptive(&loaded, &cfg_with(Reduction::Off, 1)).expect("loads");
+    let sound = collect_traces_preemptive(&loaded, &cfg_with(Reduction::Ample, 1)).expect("loads");
+    let mutated = collect_traces_preemptive(&loaded, &cfg_with(Reduction::AmpleIgnoreCycles, 1))
+        .expect("loads");
+    assert!(!naive.truncated && !sound.truncated && !mutated.truncated);
+    assert_eq!(
+        naive.traces, sound.traces,
+        "the cycle guard keeps every trace"
+    );
+    assert!(
+        naive.traces.iter().any(|t| !t.events.is_empty()),
+        "the racing threads print"
+    );
+    assert!(
+        mutated.traces.iter().all(|t| t.events.is_empty()),
+        "the seeded cycle-skipping bug must lose every print — if this \
+         fails, the mutant is no longer a mutant: {:?}",
+        mutated.traces
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Pinned trace collection on the fuzz oracle's TSO stage
+// ---------------------------------------------------------------------------
+
+#[test]
+fn tso_trace_collection_counts_are_pinned() {
+    // Concurrent inputs of the fuzz stream, compiled by the extended
+    // (unmutated) pipeline and linked against the lock object on the
+    // TSO machine exactly as the oracle's Asm/TSO stage does, at its
+    // default exploration budget. The counts were recorded on the
+    // sequential `Engine`, before trace collection moved to the
+    // memoised `ParEngine`: the same ample choices must expand the same
+    // states and yield the same traces.
+    let cfg = OracleCfg::default().explore;
+    for (input, expansions, traces) in [(26, 1458, 5), (14, 5127, 4), (24, 8533, 3)] {
+        let p = stream_input(input);
+        assert!(!p.is_sequential(), "stream_input({input}) is concurrent");
+        let (m, ge, entries) = lower(&p);
+        let arts = compile_with_artifacts_mutated(&m, None).expect("compiles");
+        let loaded = link_with_lock(X86Tso, arts.asm, ge, entries).expect("links");
+        let ts = collect_traces_preemptive(&loaded, &cfg).expect("loads");
+        assert!(!ts.truncated, "stream_input({input}) truncated");
+        assert_eq!(
+            (ts.expansions, ts.traces.len()),
+            (expansions, traces),
+            "stream_input({input}): (expansions, traces)"
+        );
+    }
 }
