@@ -48,7 +48,7 @@
 //! by every other module's rely. Together with per-module
 //! `self_stable`, this yields a compositional DRF/stability verdict for
 //! the whole program with no exploration — cross-validated against
-//! `ccc_core::race::check_drf_par` and the dynamic `rg` checker in
+//! `ccc_core::race::check_drf` and the dynamic `rg` checker in
 //! `tests/` and the fuzz oracle.
 
 use crate::diag::Diagnostic;

@@ -454,7 +454,7 @@ fn loads_stack_slot(f: &RtlFunction, s: u64) -> bool {
 /// obligation:
 ///
 /// * a decided branch pruned to `Nop` — the validator's facts must
-///   decide the same arm ([`check_pruned_branch`]);
+///   decide the same arm (`check_pruned_branch`);
 /// * an operation folded to a constant the symbolic engine cannot
 ///   equate (the fold is range- rather than constant-derived) — the
 ///   validator's abstract evaluation must produce that singleton;

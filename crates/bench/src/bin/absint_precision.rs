@@ -39,7 +39,7 @@ use ccc_compiler::driver::compile_with_artifacts;
 use ccc_compiler::rtl::Instr;
 use ccc_core::lang::Prog;
 use ccc_core::mem::{GlobalEnv, Val};
-use ccc_core::race::{check_drf, check_drf_hinted};
+use ccc_core::race::check_drf;
 use ccc_core::refine::ExploreCfg;
 use ccc_core::world::Loaded;
 use ccc_core::{AmpleHints, Interval, Reduction};
@@ -256,11 +256,15 @@ fn main() {
     println!("Exploration impact (ample reduction, states before/after hints)");
     for &(threads, depth) in specs {
         let (loaded, hints) = private_client(threads, depth);
+        let hinted_cfg = ExploreCfg {
+            hints,
+            ..cfg.clone()
+        };
         let t = Instant::now();
         let plain = check_drf(&loaded, &cfg).expect("loads");
         let plain_ms = ms(t);
         let t = Instant::now();
-        let hinted = check_drf_hinted(&loaded, &cfg, &hints).expect("loads");
+        let hinted = check_drf(&loaded, &hinted_cfg).expect("loads");
         let hinted_ms = ms(t);
         assert!(plain.is_drf() && hinted.is_drf(), "family must be DRF");
         assert!(

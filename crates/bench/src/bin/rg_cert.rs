@@ -6,7 +6,7 @@
 //!    (lock-disciplined and racy, single- and multi-module), the full
 //!    static path — per-module certificate inference, the trusted
 //!    re-check, and the pairwise link-time compatibility check — is
-//!    timed against `check_drf_par`'s exhaustive exploration of the
+//!    timed against `check_drf`'s exhaustive sequential exploration of the
 //!    same linked program. Soundness is asserted on every row (a
 //!    certified-stable program must never explore to a race: zero
 //!    false negatives); static false positives are counted and
@@ -33,7 +33,7 @@ use ccc_clight::gen::gen_concurrent_client;
 use ccc_clight::ClightModule;
 use ccc_compiler::cache::CompileCache;
 use ccc_core::mem::GlobalEnv;
-use ccc_core::race::check_drf_par;
+use ccc_core::race::check_drf;
 use ccc_core::refine::ExploreCfg;
 use ccc_fuzz::link::load_client;
 use ccc_fuzz::spec::lower_prefixed;
@@ -180,7 +180,6 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let explore_cfg = ExploreCfg {
         max_states: if smoke { 60_000 } else { 400_000 },
-        threads: 2,
         ..ExploreCfg::default()
     };
     let (lock, _lock_ge) = lock_spec("L");
@@ -215,7 +214,7 @@ fn main() {
         let threads = entries.len();
         let loaded = load_client(module, ge, entries);
         let t = Instant::now();
-        let drf = check_drf_par(&loaded, &explore_cfg).expect("program loads");
+        let drf = check_drf(&loaded, &explore_cfg).expect("program loads");
         let explore_t = t.elapsed();
         let explored = if drf.is_drf() {
             if drf.truncated {

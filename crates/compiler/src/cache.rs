@@ -20,7 +20,7 @@
 //!    against the stored artifacts by the [`Certifier`] — the cheap
 //!    side of validation only, no recompilation (see [`RecheckDepth`]).
 //!    The memory tier runs this once per *admission* and reuses the
-//!    verdict while the slot is unchanged (see [`MemEntry`]); the disk
+//!    verdict while the slot is unchanged (see `MemEntry`); the disk
 //!    tier re-parses on every load;
 //! 3. link-time obligations are re-discharged *outside* this module,
 //!    across the mix of cached and fresh modules

@@ -6,17 +6,18 @@
 //! bottoms out in exhaustive exploration of a state graph. This module
 //! provides the three cooperating layers they build on:
 //!
-//! 1. **State interning** ([`ParEngine`], and the sequential [`Engine`]
-//!    that `race`'s serial checkers still use): worlds are hash-consed
+//! 1. **State interning** ([`ParEngine`]): worlds are hash-consed
 //!    into [`IWorld`]s whose thread and memory components are
 //!    structurally shared behind [`Arc`]s, so a visited set stores a
 //!    handful of 32-bit ids instead of deep-cloned worlds, and successor
 //!    dedup re-hashes only the *changed* component of a step (one thread
 //!    state, and the memory only when it actually changed) instead of
-//!    the whole world. `ParEngine` also memoises each interned
-//!    `(thread, memory)` pair's local expansion, and serves both the
-//!    parallel checkers and single-threaded trace collection
-//!    ([`collect_traces_preemptive`](crate::refine::collect_traces_preemptive)).
+//!    the whole world. The engine also memoises each interned
+//!    `(thread, memory)` pair's local expansion. It is the only reduced
+//!    engine: the DRF and footprint checkers run it on the frontier
+//!    below, and trace collection
+//!    ([`collect_traces_preemptive`](crate::refine::collect_traces_preemptive))
+//!    runs it single-threaded.
 //!
 //! 2. **Footprint-directed partial-order reduction**
 //!    ([`Reduction::Ample`]): the paper's own instrumented footprints
@@ -37,26 +38,27 @@
 //!    which guarantees every cycle of the reduced graph contains a
 //!    fully-expanded state.
 //!
-//! 3. **A work-stealing parallel frontier** ([`ws_explore_until`],
-//!    [`par_explore`]): per-worker deques with a shared injector and
+//! 3. **A work-stealing frontier** ([`ws_explore_until`]): per-worker deques with a shared injector and
 //!    steal-half semantics, hand-rolled on `std::thread`. The ample
 //!    reduction runs *inside* each worker via a shared [`ParEngine`]
 //!    (concurrent interning pools, memoized `(thread, memory)`
 //!    expansions, and a cross-worker "ignoring" guard backed by the
 //!    shared [`VisitedSet`] — which stores compact 64-bit fingerprints
 //!    by default, or full states for soundness-sensitive callers; see
-//!    [`VisitedMode`]). A sequential burst on the main thread keeps
-//!    small graphs spawn-free. Results are merged deterministically:
+//!    [`VisitedMode`]). One worker is the sequential case: it runs
+//!    inline on the calling thread and spawns nothing, and with more
+//!    workers a sequential burst on the main thread keeps small graphs
+//!    spawn-free. Results are merged deterministically:
 //!    each worker folds its local findings into a commutative monoid
 //!    (footprint unions, minimal race witness) so the merged outcome is
 //!    independent of scheduling whenever the exploration completes
 //!    within its state budget.
 //!
-//! The naive engines remain available behind
+//! The naive sequential explorers remain available behind
 //! `ExploreCfg { reduction: Reduction::Off, .. }` and serve as the
-//! differential oracle: on the whole corpus the reduced and parallel
-//! explorers must produce bit-identical verdicts, trace sets, and
-//! footprint unions (`tests/tests/explore.rs`).
+//! single trusted differential oracle: on the whole corpus the engine,
+//! at every worker count, must produce the same verdicts, trace sets,
+//! and footprint unions (`tests/tests/explore.rs`).
 
 use crate::footprint::Footprint;
 use crate::lang::{Event, Lang, StepMsg};
@@ -154,6 +156,26 @@ pub fn fx_hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
     h.finish()
 }
 
+/// Records that `state` is about to be expanded with `fuel > 0` steps
+/// left; false when an earlier expansion had at least as much fuel. A
+/// fuel-bounded search must re-expand a state that arrives again with
+/// more fuel: what the first, smaller budget cut off may lie within the
+/// larger one. (A fuel-blind visited set misses a violation reachable
+/// only over the shorter of two paths whenever the longer is explored
+/// first.)
+pub(crate) fn gains_fuel<S: Eq + Hash>(
+    expanded: &mut FxHashMap<S, usize>,
+    state: S,
+    fuel: usize,
+) -> bool {
+    let best = expanded.entry(state).or_insert(0);
+    if fuel <= *best {
+        return false;
+    }
+    *best = fuel;
+    true
+}
+
 // ---------------------------------------------------------------------------
 // Reduction modes
 // ---------------------------------------------------------------------------
@@ -161,8 +183,8 @@ pub fn fx_hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
 /// Which partial-order reduction the preemptive explorers apply.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Reduction {
-    /// No reduction: the original exhaustive engines (the differential
-    /// oracle).
+    /// No reduction: the exhaustive sequential explorers, the single
+    /// trusted differential oracle.
     #[default]
     Off,
     /// Footprint-directed ample-set reduction over interned states (see
@@ -213,7 +235,7 @@ impl Reduction {
 /// itself be an ample step — its address lies outside the stepping
 /// thread's free list and (by disjointness) outside its private set — so
 /// it stays fully interleaved and trips the monitor, flipping
-/// [`Engine::scoping_ok`]; callers then discard the reduced result and
+/// [`ParEngine::scoping_ok`]; callers then discard the reduced result and
 /// fall back exactly as for a free-list scoping violation.
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct AmpleHints {
@@ -303,11 +325,11 @@ impl<T> fmt::Debug for Pool<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Interned worlds and the serial engine
+// Interned worlds
 // ---------------------------------------------------------------------------
 
 /// An interned preemptive world: the same data as
-/// [`World`](crate::world::World), with the thread states and the memory
+/// [`World`], with the thread states and the memory
 /// replaced by pool ids. Hashing and comparing an `IWorld` touches a few
 /// machine words instead of the whole heap structure.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -340,321 +362,6 @@ pub enum IStep {
     Abort,
 }
 
-/// The interning + partial-order-reducing exploration engine over the
-/// preemptive semantics (fused-switch variant, like
-/// [`Loaded::step_preemptive_sched`]).
-///
-/// # Examples
-///
-/// ```
-/// use ccc_core::explore::{Engine, IStep, Reduction};
-/// use ccc_core::lang::Prog;
-/// use ccc_core::toy::{toy_globals, toy_module, ToyInstr, ToyLang};
-/// use ccc_core::world::Loaded;
-/// let body = vec![ToyInstr::Const(1), ToyInstr::Ret(0)];
-/// let (m, _) = toy_module(&[("a", body.clone()), ("b", body)], &[]);
-/// let l = Loaded::new(Prog::new(ToyLang, vec![(m, toy_globals(&[]))], ["a", "b"]))?;
-/// let mut eng = Engine::new(&l, Reduction::Ample);
-/// let init = eng.load()?;
-/// assert!(!eng.successors(&init).is_empty());
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-pub struct Engine<'a, L: Lang> {
-    loaded: &'a Loaded<L>,
-    threads: Pool<ThreadState<L>>,
-    mems: Pool<Memory>,
-    /// States `successors` has been called on — the ample "ignoring"
-    /// guard: a candidate ample move into an already-expanded state
-    /// forces full expansion, so every cycle of the reduced graph
-    /// contains at least one fully-expanded state.
-    seen: FxHashSet<IWorld>,
-    reduction: Reduction,
-    hints: AmpleHints,
-    scoping_ok: bool,
-}
-
-impl<L: Lang> fmt::Debug for Engine<'_, L> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Engine")
-            .field("threads", &self.threads)
-            .field("mems", &self.mems)
-            .field("reduction", &self.reduction)
-            .field("scoping_ok", &self.scoping_ok)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a, L: Lang> Engine<'a, L> {
-    /// Creates an engine over a loaded program.
-    pub fn new(loaded: &'a Loaded<L>, reduction: Reduction) -> Engine<'a, L> {
-        Engine::with_hints(loaded, reduction, AmpleHints::default())
-    }
-
-    /// Creates an engine whose ample criterion additionally accepts
-    /// steps inside each thread's hinted-private address set. Hints with
-    /// overlapping per-thread sets are contradictory and are dropped
-    /// (the engine then behaves exactly like [`Engine::new`]).
-    pub fn with_hints(
-        loaded: &'a Loaded<L>,
-        reduction: Reduction,
-        hints: AmpleHints,
-    ) -> Engine<'a, L> {
-        let hints = if hints.disjoint() {
-            hints
-        } else {
-            AmpleHints::default()
-        };
-        Engine {
-            loaded,
-            threads: Pool::new(),
-            mems: Pool::new(),
-            seen: FxHashSet::default(),
-            reduction,
-            hints,
-            scoping_ok: true,
-        }
-    }
-
-    /// Interns the initial world (the `Load` rule).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`LoadError`].
-    pub fn load(&mut self) -> Result<IWorld, LoadError> {
-        let w = self.loaded.load()?;
-        Ok(self.intern_world(w))
-    }
-
-    /// Interns an arbitrary world.
-    pub fn intern_world(&mut self, w: World<L>) -> IWorld {
-        IWorld {
-            threads: w
-                .threads
-                .into_iter()
-                .map(|t| self.threads.intern(t))
-                .collect(),
-            cur: w.cur,
-            atom: w.atom,
-            mem: self.mems.intern(w.mem),
-        }
-    }
-
-    /// The interned thread state behind `id`.
-    pub fn thread(&self, id: u32) -> &Arc<ThreadState<L>> {
-        self.threads.get(id)
-    }
-
-    /// The interned memory behind `id`.
-    pub fn memory(&self, id: u32) -> &Arc<Memory> {
-        self.mems.get(id)
-    }
-
-    /// True if every thread of `w` has terminated.
-    pub fn is_done(&self, w: &IWorld) -> bool {
-        w.threads.iter().all(|&t| self.threads.get(t).is_done())
-    }
-
-    /// Number of distinct (thread, memory) components interned so far.
-    pub fn interned_components(&self) -> (usize, usize) {
-        (self.threads.len(), self.mems.len())
-    }
-
-    /// False if some explored step's footprint escaped its thread's own
-    /// free-list region ∪ the global region, or touched an address the
-    /// [`AmpleHints`] claim private to a *different* thread. The
-    /// ample-set independence argument assumes the `HG` scoping
-    /// discipline (and, when hinted, the privacy claims); when this
-    /// monitor trips, callers must discard the reduced result and re-run
-    /// with [`Reduction::Off`].
-    pub fn scoping_ok(&self) -> bool {
-        self.scoping_ok
-    }
-
-    /// All global steps of thread `t` from `w` (full expansion for one
-    /// thread; mirrors [`Loaded::thread_steps`] over interned worlds).
-    fn expand_thread(&mut self, w: &IWorld, t: ThreadId) -> Vec<IStep> {
-        let thread = self.threads.get(w.threads[t]).clone();
-        let mem = self.mems.get(w.mem).clone();
-        let mut out = Vec::new();
-        for ts in self.loaded.local_thread_steps(&thread, &mem) {
-            match ts {
-                ThreadStep::Internal {
-                    msg,
-                    fp,
-                    frames,
-                    mem: m,
-                } => {
-                    let (label, atom) = match msg {
-                        StepMsg::Tau => (GLabel::Tau, w.atom),
-                        StepMsg::Event(e) => (GLabel::Ev(e), w.atom),
-                        StepMsg::EntAtom => {
-                            if w.atom {
-                                out.push(IStep::Abort); // nested atomic: no rule
-                                continue;
-                            }
-                            (GLabel::Tau, true)
-                        }
-                        StepMsg::ExtAtom => {
-                            if !w.atom {
-                                out.push(IStep::Abort);
-                                continue;
-                            }
-                            (GLabel::Tau, false)
-                        }
-                    };
-                    if !fp.within(|a| a.is_global() || thread.flist.contains(a))
-                        || self.hints.violated_by(t, &fp)
-                    {
-                        self.scoping_ok = false;
-                    }
-                    let tid = self.threads.intern(ThreadState {
-                        frames,
-                        flist: thread.flist,
-                    });
-                    let mid = if m == **self.mems.get(w.mem) {
-                        w.mem // unchanged memory: reuse the id, skip re-hashing
-                    } else {
-                        self.mems.intern(m)
-                    };
-                    let mut threads = w.threads.clone();
-                    threads[t] = tid;
-                    out.push(IStep::Next {
-                        label,
-                        fp,
-                        tid: t,
-                        world: IWorld {
-                            threads,
-                            cur: t,
-                            atom,
-                            mem: mid,
-                        },
-                    });
-                }
-                ThreadStep::Terminated => {
-                    let tid = self.threads.intern(ThreadState {
-                        frames: Vec::new(),
-                        flist: thread.flist,
-                    });
-                    let mut threads = w.threads.clone();
-                    threads[t] = tid;
-                    out.push(IStep::Next {
-                        label: GLabel::Tau,
-                        fp: Footprint::emp(),
-                        tid: t,
-                        world: IWorld {
-                            threads,
-                            cur: t,
-                            atom: w.atom,
-                            mem: w.mem,
-                        },
-                    });
-                }
-                ThreadStep::Abort => out.push(IStep::Abort),
-            }
-        }
-        out
-    }
-
-    /// Tries to select thread `t` as the ample set at `w`: every enabled
-    /// step of `t` must be an invisible `τ`-step with a footprint inside
-    /// `t`'s own free-list region ∪ its hinted-private address set
-    /// (empty footprints qualify). Events, atomic boundaries,
-    /// termination, aborts, and other shared accesses disqualify the
-    /// thread — those stay fully interleaved.
-    fn try_ample(&mut self, w: &IWorld, t: ThreadId) -> Option<Vec<IStep>> {
-        let thread = self.threads.get(w.threads[t]).clone();
-        let mem = self.mems.get(w.mem).clone();
-        let steps = self.loaded.local_thread_steps(&thread, &mem);
-        if steps.is_empty() {
-            return None;
-        }
-        let overbroad = self.reduction == Reduction::AmpleOverbroad;
-        let private = self.hints.private_of(t);
-        for ts in &steps {
-            match ts {
-                ThreadStep::Internal {
-                    msg: StepMsg::Tau,
-                    fp,
-                    ..
-                } if fp.within(|a| {
-                    thread.flist.contains(a)
-                        || private.is_some_and(|p| p.contains(&a))
-                        || (overbroad && a.is_global())
-                }) => {}
-                _ => return None,
-            }
-        }
-        let mut out = Vec::with_capacity(steps.len());
-        for ts in steps {
-            let ThreadStep::Internal {
-                fp, frames, mem: m, ..
-            } = ts
-            else {
-                unreachable!("eligibility checked above")
-            };
-            if self.hints.violated_by(t, &fp) {
-                self.scoping_ok = false;
-            }
-            let tid = self.threads.intern(ThreadState {
-                frames,
-                flist: thread.flist,
-            });
-            let mid = if m == *mem {
-                w.mem
-            } else {
-                self.mems.intern(m)
-            };
-            let mut threads = w.threads.clone();
-            threads[t] = tid;
-            out.push(IStep::Next {
-                label: GLabel::Tau,
-                fp,
-                tid: t,
-                world: IWorld {
-                    threads,
-                    cur: t,
-                    atom: w.atom,
-                    mem: mid,
-                },
-            });
-        }
-        // The "ignoring" guard (condition C3 of ample-set reduction): if
-        // a candidate successor was already expanded, selecting this
-        // ample set could postpone other threads around a cycle forever.
-        let closes_cycle = !self.reduction.ignores_cycles()
-            && out
-                .iter()
-                .any(|s| matches!(s, IStep::Next { world, .. } if self.seen.contains(world)));
-        if closes_cycle {
-            return None;
-        }
-        Some(out)
-    }
-
-    /// All successors of `w` under the configured reduction.
-    pub fn successors(&mut self, w: &IWorld) -> Vec<IStep> {
-        self.seen.insert(w.clone());
-        if w.atom {
-            return self.expand_thread(w, w.cur);
-        }
-        let live: Vec<ThreadId> = (0..w.threads.len())
-            .filter(|&t| !self.threads.get(w.threads[t]).is_done())
-            .collect();
-        if self.reduction.is_ample() && live.len() > 1 {
-            for &t in &live {
-                if let Some(steps) = self.try_ample(w, t) {
-                    return steps;
-                }
-            }
-        }
-        let mut out = Vec::new();
-        for &t in &live {
-            out.extend(self.expand_thread(w, t));
-        }
-        out
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Compact visited sets
 // ---------------------------------------------------------------------------
@@ -685,7 +392,9 @@ pub enum VisitedMode {
 
 /// One shard of the fingerprint table: open addressing with linear
 /// probing, `0` as the empty sentinel (fingerprint `0` is remapped to
-/// `1`), growing at 7/8 load so a probe always terminates.
+/// `1`), growing at 7/8 load so a probe always terminates. The table is
+/// allocated on the first insert, so a small exploration touches only
+/// the shards its states hash to.
 struct FpShard {
     slots: Vec<u64>,
     len: usize,
@@ -694,7 +403,7 @@ struct FpShard {
 impl FpShard {
     fn new() -> FpShard {
         FpShard {
-            slots: vec![0; 64],
+            slots: Vec::new(),
             len: 0,
         }
     }
@@ -712,10 +421,13 @@ impl FpShard {
     }
 
     fn contains(&self, fp: u64) -> bool {
-        self.slot_of(fp).0
+        !self.slots.is_empty() && self.slot_of(fp).0
     }
 
     fn insert(&mut self, fp: u64) -> bool {
+        if self.slots.is_empty() {
+            self.slots = vec![0; 64];
+        }
         let (found, i) = self.slot_of(fp);
         if found {
             return false;
@@ -830,7 +542,7 @@ impl<S: Eq + Hash + Clone> VisitedSet<S> {
 // Concurrent interning and memo caches
 // ---------------------------------------------------------------------------
 
-/// A concurrent hash-consing pool: [`Pool`] sharded behind mutexes, with
+/// A concurrent hash-consing pool: a hash-consing `Pool` sharded behind mutexes, with
 /// the shard index folded into the low bits of the id so lookups are
 /// addressed directly. Append-only, so ids handed out are never
 /// invalidated and [`SharedPool::get`] clones an `Arc` without blocking
@@ -950,8 +662,8 @@ pub struct ParOutcome<A> {
 
 /// States the main thread claims inline before spawning workers: tiny
 /// graphs (and the prefix of big ones) explore sequentially at zero
-/// thread-spawn and steal cost, so the parallel entry points are never
-/// slower than the sequential engine on small programs.
+/// thread-spawn and steal cost, so extra workers never make a small
+/// program slower than one worker.
 const SEQ_BURST: usize = 256;
 
 /// Shared control block of one work-stealing exploration.
@@ -1123,12 +835,12 @@ fn ws_run<S, A, W, FS>(
 /// each keep reusable scratch buffers); the closure receives each
 /// distinct state exactly once — `(state, accumulator, successor
 /// buffer)` — and pushes the successors into the buffer. The main
-/// thread first claims up to [`SEQ_BURST`] states inline (all of them
+/// thread first claims up to `SEQ_BURST` (256) states inline (all of them
 /// when `nworkers == 1`), so small graphs never pay thread-spawn cost;
 /// only then are workers spawned over the per-worker deques with
 /// steal-half semantics.
 ///
-/// Determinism: as with the sequential engines, the *reachable set* (and
+/// Determinism: as with the sequential oracles, the *reachable set* (and
 /// so `states`) is scheduling-independent whenever the exploration
 /// completes within `max_states` and expansion is a pure function of the
 /// state — which holds for the naive expanders, and for the ample
@@ -1190,115 +902,6 @@ where
     }
 }
 
-/// Explores the graph generated by `expand` from `initials` with
-/// `nthreads` workers (work-stealing, exact visited set).
-///
-/// `expand` receives each distinct state exactly once, together with the
-/// worker-local accumulator, and returns the state's successors. After
-/// the frontier drains, the per-worker accumulators are folded with
-/// `merge`. The result is deterministic whenever (a) the exploration
-/// completes within `max_states` (the visited *set* is then exactly the
-/// reachable set, independent of scheduling) and (b) `merge` together
-/// with the accumulation in `expand` is commutative and associative —
-/// which is how the callers in [`crate::race`], [`crate::rg`], and
-/// [`crate::wd`] are written (footprint unions, minimal witnesses).
-/// Under truncation the visited subset is scheduling-dependent, exactly
-/// as the serial engines' truncated verdicts are stack-order-dependent;
-/// the `truncated` flag reports it.
-pub fn par_explore<S, A, FE, FM>(
-    initials: Vec<S>,
-    nthreads: usize,
-    max_states: usize,
-    expand: FE,
-    merge: FM,
-) -> ParOutcome<A>
-where
-    S: Clone + Eq + Hash + Send,
-    A: Default + Send,
-    FE: Fn(&S, &mut A) -> Vec<S> + Sync,
-    FM: Fn(&mut A, A),
-{
-    par_explore_with(
-        VisitedMode::Exact,
-        initials,
-        nthreads,
-        max_states,
-        expand,
-        merge,
-        |_: &A| false,
-    )
-}
-
-/// [`par_explore`] with an early-exit predicate: after each expansion
-/// the worker tests `stop` on its local accumulator, and a `true` drains
-/// the frontier — all workers stop taking new states and return their
-/// accumulators for the usual merge.
-///
-/// The *verdict*-bearing part of the merged accumulator stays
-/// deterministic when `stop` is monotone in it (once true, expanding
-/// more states keeps it true — e.g. "a race witness was found"): early
-/// exit only happens when the property already holds. The *witness* may
-/// differ from the non-exiting run's, and `states` measures how far the
-/// frontier got before the exit was observed — both scheduling-
-/// dependent, exactly like a truncated run's visited subset.
-pub fn par_explore_until<S, A, FE, FM, FS>(
-    initials: Vec<S>,
-    nthreads: usize,
-    max_states: usize,
-    expand: FE,
-    merge: FM,
-    stop: FS,
-) -> ParOutcome<A>
-where
-    S: Clone + Eq + Hash + Send,
-    A: Default + Send,
-    FE: Fn(&S, &mut A) -> Vec<S> + Sync,
-    FM: Fn(&mut A, A),
-    FS: Fn(&A) -> bool + Sync,
-{
-    par_explore_with(
-        VisitedMode::Exact,
-        initials,
-        nthreads,
-        max_states,
-        expand,
-        merge,
-        stop,
-    )
-}
-
-/// [`par_explore_until`] with an explicit [`VisitedMode`] — the
-/// entry point for bulk checkers that opt into hash compaction
-/// ([`crate::rg`], [`crate::wd`] pass their `ExploreCfg`'s mode).
-pub fn par_explore_with<S, A, FE, FM, FS>(
-    mode: VisitedMode,
-    initials: Vec<S>,
-    nthreads: usize,
-    max_states: usize,
-    expand: FE,
-    merge: FM,
-    stop: FS,
-) -> ParOutcome<A>
-where
-    S: Clone + Eq + Hash + Send,
-    A: Default + Send,
-    FE: Fn(&S, &mut A) -> Vec<S> + Sync,
-    FM: Fn(&mut A, A),
-    FS: Fn(&A) -> bool + Sync,
-{
-    let visited = VisitedSet::new(mode);
-    let expand_ref = &expand;
-    ws_explore_until(
-        &visited,
-        initials,
-        nthreads,
-        max_states,
-        |_wid| move |s: &S, acc: &mut A, buf: &mut Vec<S>| buf.extend(expand_ref(s, acc)),
-        merge,
-        stop,
-    )
-}
-
 // ---------------------------------------------------------------------------
 // The parallel POR engine
 // ---------------------------------------------------------------------------
@@ -1344,27 +947,25 @@ struct ExpandEntry {
     succs: Vec<RawSucc>,
 }
 
-/// The work-stealing counterpart of [`Engine`]: hash-consing pools and
-/// the footprint-directed ample reduction, shared by every worker of a
-/// parallel exploration (`&ParEngine` is `Sync`).
-///
-/// Two things distinguish it from a per-worker copy of the sequential
-/// engine:
+/// The interning + partial-order-reducing exploration engine over the
+/// preemptive semantics (fused-switch variant, like
+/// [`Loaded::step_preemptive_sched`]): hash-consing pools and the
+/// footprint-directed ample reduction, shared by every worker of an
+/// exploration (`&ParEngine` is `Sync`). One worker is the sequential
+/// case.
 ///
 /// - **Memoized expansion.** A thread's local steps depend only on its
 ///   own state and the memory, both interned — so expansion (and, in
 ///   [`crate::race`], race prediction) is cached per `(tid, mid)` pair in
-///   a [`ShardedCache`]. The sequential engine re-runs the interpreter
-///   for `try_ample`, `expand_thread`, and prediction separately at every
-///   world; here each distinct `(tid, mid)` pair runs the interpreter
-///   once, which on cache-friendly graphs (many worlds sharing thread/
-///   memory components) is the dominant saving.
+///   a [`ShardedCache`]. Each distinct `(tid, mid)` pair runs the
+///   interpreter once, however many worlds share it, which on
+///   cache-friendly graphs (many worlds sharing thread/memory
+///   components) is the dominant saving.
 ///
-/// - **A cross-worker "ignoring" guard.** The sequential engine refuses
-///   an ample set whose successor it has already expanded, so every cycle
-///   of the reduced graph keeps one fully-expanded state. With concurrent
-///   workers the same check runs against the shared [`VisitedSet`], and
-///   the claim ordering in [`ws_explore_until`] (a worker *inserts* a
+/// - **A cross-worker "ignoring" guard.** The engine refuses an ample
+///   set whose successor was already claimed for expansion, so every
+///   cycle of the reduced graph keeps one fully-expanded state. The
+///   check runs against the shared [`VisitedSet`], and the claim ordering in [`ws_explore_until`] (a worker *inserts* a
 ///   state before expanding it) makes it sound: suppose some cycle
 ///   `s₁ → s₂ → … → sₙ → s₁` of the reduced graph were expanded entirely
 ///   ample. Each `sᵢ` was inserted before its expansion checked
@@ -1394,19 +995,18 @@ impl<L: Lang> fmt::Debug for ParEngine<'_, L> {
 }
 
 impl<'a, L: Lang> ParEngine<'a, L> {
-    /// Creates a shared engine over a loaded program.
-    pub fn new(loaded: &'a Loaded<L>, reduction: Reduction) -> ParEngine<'a, L> {
-        ParEngine::with_hints(loaded, reduction, AmpleHints::default())
-    }
-
-    /// Like [`Engine::with_hints`]: non-disjoint hints are dropped.
-    pub fn with_hints(
+    /// Creates a shared engine over a loaded program. Its ample
+    /// criterion also accepts steps inside each thread's `hints`-private
+    /// address set; hints with overlapping per-thread sets are
+    /// contradictory and are dropped (the engine then reduces exactly as
+    /// with empty hints).
+    pub fn new(
         loaded: &'a Loaded<L>,
         reduction: Reduction,
-        hints: AmpleHints,
+        hints: &AmpleHints,
     ) -> ParEngine<'a, L> {
         let hints = if hints.disjoint() {
-            hints
+            hints.clone()
         } else {
             AmpleHints::default()
         };
@@ -1454,7 +1054,13 @@ impl<'a, L: Lang> ParEngine<'a, L> {
         self.mems.get(id)
     }
 
-    /// See [`Engine::scoping_ok`]; shared across workers.
+    /// False if some explored step's footprint escaped its thread's own
+    /// free-list region ∪ the global region, or touched an address the
+    /// [`AmpleHints`] claim private to a *different* thread. The
+    /// ample-set independence argument assumes the `HG` scoping
+    /// discipline (and, when hinted, the privacy claims); when this
+    /// monitor trips, callers must discard the reduced result and re-run
+    /// with [`Reduction::Off`]. Shared across workers.
     pub fn scoping_ok(&self) -> bool {
         self.scoping_ok.load(Ordering::SeqCst)
     }
@@ -1638,18 +1244,21 @@ impl<'a, L: Lang> ParEngine<'a, L> {
 ///
 /// The ample "ignoring" guard asks an exact set of already-expanded
 /// states; `successors` inserts each state before expanding it — the
-/// claim-before-expand order of [`ws_explore_until`] — so the ample
-/// choices match [`Engine::successors`], which inserts into its own
-/// seen set the same way.
+/// claim-before-expand order of [`ws_explore_until`], which is what
+/// makes the guard sound.
 pub(crate) struct ParPreemptive<'a, L: Lang> {
     engine: ParEngine<'a, L>,
     expanded: VisitedSet<IWorld>,
 }
 
 impl<'a, L: Lang> ParPreemptive<'a, L> {
-    pub(crate) fn new(loaded: &'a Loaded<L>, reduction: Reduction) -> ParPreemptive<'a, L> {
+    pub(crate) fn new(
+        loaded: &'a Loaded<L>,
+        reduction: Reduction,
+        hints: &AmpleHints,
+    ) -> ParPreemptive<'a, L> {
         ParPreemptive {
-            engine: ParEngine::new(loaded, reduction),
+            engine: ParEngine::new(loaded, reduction, hints),
             expanded: VisitedSet::new(VisitedMode::Exact),
         }
     }
@@ -1750,9 +1359,10 @@ mod tests {
     #[test]
     fn interning_dedups_components() {
         let l = private_prefix_prog(2);
-        let mut eng = Engine::new(&l, Reduction::Off);
+        let eng = ParEngine::new(&l, Reduction::Off, &AmpleHints::default());
         let init = eng.load().expect("load");
-        let succs = eng.successors(&init);
+        let mut succs = Vec::new();
+        eng.successors_into(&init, &VisitedSet::new(VisitedMode::Exact), &mut succs);
         // Both threads stepped once each; only the stepping thread's
         // component is fresh, and the memory id is shared (no step
         // touched memory).
@@ -1772,7 +1382,7 @@ mod tests {
         let l = private_prefix_prog(3);
         let cfg = ExploreCfg::default();
         let naive = collect_traces(&Preemptive(&l), &cfg).expect("naive");
-        let red = ParPreemptive::new(&l, Reduction::Ample);
+        let red = ParPreemptive::new(&l, Reduction::Ample, &AmpleHints::default());
         let reduced = collect_traces(&red, &cfg).expect("reduced");
         assert!(red.scoping_ok());
         assert!(trace_equiv(&naive, &reduced));
@@ -1822,42 +1432,50 @@ mod tests {
     }
 
     #[test]
-    fn par_explore_counts_states_and_merges() {
+    fn ws_explore_counts_states_and_merges() {
         // A diamond graph over u32 pairs: (i, j) -> (i+1, j), (i, j+1)
         // for i, j < 8. 81 states, each contributing its coordinate sum.
-        let out = par_explore(
-            vec![(0u32, 0u32)],
-            4,
-            1_000_000,
-            |&(i, j): &(u32, u32), acc: &mut u64| {
-                *acc += u64::from(i + j);
-                let mut succ = Vec::new();
-                if i < 8 {
-                    succ.push((i + 1, j));
-                }
-                if j < 8 {
-                    succ.push((i, j + 1));
-                }
-                succ
-            },
-            |a, b| *a += b,
-        );
-        assert_eq!(out.states, 81);
-        assert!(!out.truncated);
-        // Σ (i + j) over the 9×9 grid = 2 · 9 · Σ0..8 = 648.
-        assert_eq!(out.acc, 648);
+        for workers in [1, 4] {
+            let out = ws_explore_until(
+                &VisitedSet::new(VisitedMode::Exact),
+                vec![(0u32, 0u32)],
+                workers,
+                1_000_000,
+                |_wid| {
+                    |&(i, j): &(u32, u32), acc: &mut u64, succ: &mut Vec<(u32, u32)>| {
+                        *acc += u64::from(i + j);
+                        if i < 8 {
+                            succ.push((i + 1, j));
+                        }
+                        if j < 8 {
+                            succ.push((i, j + 1));
+                        }
+                    }
+                },
+                |a, b| *a += b,
+                |_| false,
+            );
+            assert_eq!(out.states, 81);
+            assert!(!out.truncated);
+            // Σ (i + j) over the 9×9 grid = 2 · 9 · Σ0..8 = 648.
+            assert_eq!(out.acc, 648);
+        }
     }
 
     #[test]
-    fn par_explore_respects_budget() {
-        let out = par_explore(
-            vec![0u64],
-            2,
-            100,
-            |&n: &u64, _: &mut ()| vec![n + 1],
-            |_, ()| {},
-        );
-        assert!(out.truncated);
-        assert!(out.states >= 100);
+    fn ws_explore_respects_budget() {
+        for workers in [1, 2] {
+            let out = ws_explore_until(
+                &VisitedSet::new(VisitedMode::Fingerprint),
+                vec![0u64],
+                workers,
+                100,
+                |_wid| |&n: &u64, _: &mut (), succ: &mut Vec<u64>| succ.push(n + 1),
+                |_, ()| {},
+                |_| false,
+            );
+            assert!(out.truncated);
+            assert!(out.states >= 100);
+        }
     }
 }

@@ -104,11 +104,19 @@ impl Fig2Report {
 /// # Errors
 ///
 /// Propagates `Load` failures from either program.
-pub fn validate_fig2<S: Lang, T: Lang>(
+pub fn validate_fig2<S, T>(
     src: &Loaded<S>,
     tgt: &Loaded<T>,
     cfg: &ExploreCfg,
-) -> Result<Fig2Report, LoadError> {
+) -> Result<Fig2Report, LoadError>
+where
+    S: Lang + Sync,
+    S::Module: Sync,
+    S::Core: Send + Sync,
+    T: Lang + Sync,
+    T::Module: Sync,
+    T::Core: Send + Sync,
+{
     let drf_s = check_drf(src, cfg)?;
     let npdrf_s = check_npdrf(src, cfg)?;
     let drf_t = check_drf(tgt, cfg)?;

@@ -12,22 +12,21 @@
 //! exhaustive checking on bounded programs.
 
 use crate::explore::{
-    par_explore_with, ws_explore_until, AmpleHints, Engine, FxHashSet, IStep, ParEngine, Reduction,
-    ShardedCache, VisitedSet,
+    ws_explore_until, FxHashSet, IStep, ParEngine, Reduction, ShardedCache, VisitedSet,
 };
 use crate::footprint::{AtomicBit, Footprint, TaggedFootprint};
 use crate::lang::{Lang, StepMsg};
 use crate::mem::Memory;
 use crate::npworld::{NpStep, NpWorld};
 use crate::refine::ExploreCfg;
-use crate::world::{GStep, LoadError, Loaded, ThreadId, ThreadState, ThreadStep, World};
+use crate::world::{GStep, LoadError, Loaded, ThreadId, ThreadState, ThreadStep};
 use std::sync::Arc;
 
 /// A witness that two threads race.
 ///
 /// `Ord` orders witnesses lexicographically by thread pair and footprint;
-/// the parallel checkers use it to merge per-worker findings into the
-/// minimum witness, making their reports scheduling-independent.
+/// the engine uses it to merge per-worker findings into the minimum
+/// witness.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct RaceWitness {
     /// The first racing thread.
@@ -114,7 +113,7 @@ pub fn predict<L: Lang>(
 /// points, so a one-step prediction would never observe two conflicting
 /// accesses "at the same time"; predicting whole blocks restores the
 /// equivalence with the preemptive DRF (the content of steps ⑥/⑧ of
-/// Fig. 2; cf. Xiao et al. [33]). A thread parked inside an atomic block
+/// Fig. 2; cf. Xiao et al. \[33\]). A thread parked inside an atomic block
 /// (`𝕕(t) = 1`) contributes its pending block with atomic bit 1.
 pub fn predict_np<L: Lang>(
     loaded: &Loaded<L>,
@@ -216,6 +215,24 @@ fn find_conflict_in(preds: &[&[TaggedFootprint]]) -> Option<RaceWitness> {
 /// `DRF(P)` (Fig. 9): explores all reachable preemptive worlds and
 /// checks the `Race` rule at each world whose atomic bit is 0.
 ///
+/// `cfg.reduction` picks the explorer. [`Reduction::Off`] runs the
+/// exhaustive sequential oracle (`cfg.threads`, `cfg.visited` and
+/// `cfg.hints` do not apply). Any other reduction runs the
+/// [`ParEngine`] on the work-stealing frontier with `cfg.threads`
+/// workers over a `cfg.visited` visited set: the reduction runs inside
+/// each worker, widened by `cfg.hints`, and each claimed world is
+/// race-checked against memoised per-`(thread, memory)` predictions. A
+/// race found in the reduced graph is always real (every reduced path
+/// is a path of the full graph); a DRF verdict also relies on the
+/// scoping discipline and the hints, so if the engine's monitor saw
+/// either violated, the check re-runs on the oracle.
+///
+/// Both explorers exit at the first race found. The *verdict* is
+/// deterministic whenever the exploration is not truncated
+/// (finding-a-race is monotone), but with more than one worker the
+/// reported witness and state count of a racy program depend on
+/// scheduling — only a full DRF run visits the whole graph.
+///
 /// # Errors
 ///
 /// Propagates `Load` failures.
@@ -235,38 +252,66 @@ fn find_conflict_in(preds: &[&[TaggedFootprint]]) -> Option<RaceWitness> {
 /// assert!(!check_drf(&l, &ExploreCfg::default())?.is_drf());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn check_drf<L: Lang>(loaded: &Loaded<L>, cfg: &ExploreCfg) -> Result<DrfReport, LoadError> {
-    match cfg.reduction {
-        Reduction::Off => check_drf_naive(loaded, cfg),
-        _ => check_drf_engine(loaded, cfg, AmpleHints::default()),
+pub fn check_drf<L>(loaded: &Loaded<L>, cfg: &ExploreCfg) -> Result<DrfReport, LoadError>
+where
+    L: Lang + Sync,
+    L::Module: Sync,
+    L::Core: Send + Sync,
+{
+    if cfg.reduction == Reduction::Off {
+        return check_drf_naive(loaded, cfg);
     }
+    let eng = ParEngine::new(loaded, cfg.reduction, &cfg.hints);
+    let init = eng.load()?;
+    let visited = VisitedSet::new(cfg.visited);
+    let pred_cache: ShardedCache<Arc<Vec<TaggedFootprint>>> = ShardedCache::new();
+    let (eng_ref, cache_ref, visited_ref) = (&eng, &pred_cache, &visited);
+    let out =
+        ws_explore_until(
+            &visited,
+            vec![init],
+            cfg.threads,
+            cfg.max_states,
+            |_wid| {
+                let mut steps: Vec<IStep> = Vec::new();
+                let mut preds: Vec<Arc<Vec<TaggedFootprint>>> = Vec::new();
+                move |w, acc: &mut Option<RaceWitness>, buf| {
+                    if !w.atom {
+                        preds.clear();
+                        preds.extend(w.threads.iter().map(|&tid| {
+                            predict_interned(loaded, eng_ref, cache_ref, tid, w.mem, cfg)
+                        }));
+                        let slices: Vec<&[TaggedFootprint]> =
+                            preds.iter().map(|p| p.as_slice()).collect();
+                        merge_witness(acc, find_conflict_in(&slices));
+                    }
+                    eng_ref.successors_into(w, visited_ref, &mut steps);
+                    buf.extend(steps.drain(..).filter_map(|s| match s {
+                        IStep::Next { world, .. } => Some(world),
+                        IStep::Abort => None,
+                    }));
+                }
+            },
+            merge_witness,
+            |acc| acc.is_some(),
+        );
+    if out.acc.is_none() && !eng.scoping_ok() {
+        return check_drf_naive(loaded, cfg);
+    }
+    Ok(DrfReport {
+        race: out.acc,
+        states: out.states,
+        truncated: out.truncated,
+    })
 }
 
-/// [`check_drf`] with static escape hints: the ample criterion also
-/// accepts steps inside each thread's hinted-private address set (see
-/// [`AmpleHints`]), so programs that grind on proven-thread-local
-/// globals reduce much further. The hints are untrusted — the engine
-/// monitors them while exploring and the check falls back to the
-/// unreduced oracle when a claim is violated, so a wrong hint costs
-/// time, never soundness.
-///
-/// # Errors
-///
-/// Propagates `Load` failures.
-pub fn check_drf_hinted<L: Lang>(
-    loaded: &Loaded<L>,
-    cfg: &ExploreCfg,
-    hints: &AmpleHints,
-) -> Result<DrfReport, LoadError> {
-    match cfg.reduction {
-        Reduction::Off => check_drf_naive(loaded, cfg),
-        _ => check_drf_engine(loaded, cfg, hints.clone()),
-    }
-}
+// The benchmark package (`perfbench/`) still imports the old name.
+#[doc(hidden)]
+pub use self::check_drf as check_drf_par;
 
 /// The exhaustive oracle: plain DFS over owned worlds, no interning, no
-/// reduction. Kept verbatim so the reduced and parallel engines have a
-/// trusted baseline to differ against.
+/// reduction. Kept verbatim so the engine has a trusted baseline to
+/// differ against.
 fn check_drf_naive<L: Lang>(loaded: &Loaded<L>, cfg: &ExploreCfg) -> Result<DrfReport, LoadError> {
     let mut visited = FxHashSet::default();
     let mut stack = vec![loaded.load()?];
@@ -309,63 +354,6 @@ fn check_drf_naive<L: Lang>(loaded: &Loaded<L>, cfg: &ExploreCfg) -> Result<DrfR
     })
 }
 
-/// The interning + partial-order-reducing DRF check.
-///
-/// A race found in the reduced graph is always real (every reduced path
-/// is a path of the full graph). A *DRF* verdict additionally relies on
-/// the ample-set independence argument, which assumes the scoping
-/// discipline; if the engine's monitor observed a violation, the check
-/// re-runs without reduction before trusting "no race".
-fn check_drf_engine<L: Lang>(
-    loaded: &Loaded<L>,
-    cfg: &ExploreCfg,
-    hints: AmpleHints,
-) -> Result<DrfReport, LoadError> {
-    let mut eng = Engine::with_hints(loaded, cfg.reduction, hints);
-    let mut visited: FxHashSet<_> = FxHashSet::default();
-    let mut stack = vec![eng.load()?];
-    let mut truncated = false;
-    while let Some(w) = stack.pop() {
-        if !visited.insert(w.clone()) {
-            continue;
-        }
-        if visited.len() >= cfg.max_states {
-            truncated = true;
-            break;
-        }
-        if !w.atom {
-            let mem = eng.memory(w.mem).clone();
-            let preds: Vec<_> = w
-                .threads
-                .iter()
-                .map(|&tid| predict(loaded, eng.thread(tid), &mem, cfg))
-                .collect();
-            if let Some(witness) = find_conflict(&preds) {
-                return Ok(DrfReport {
-                    race: Some(witness),
-                    states: visited.len(),
-                    truncated,
-                });
-            }
-        }
-        for step in eng.successors(&w) {
-            if let IStep::Next { world, .. } = step {
-                if !visited.contains(&world) {
-                    stack.push(world);
-                }
-            }
-        }
-    }
-    if !eng.scoping_ok() {
-        return check_drf_naive(loaded, cfg);
-    }
-    Ok(DrfReport {
-        race: None,
-        states: visited.len(),
-        truncated,
-    })
-}
-
 /// Merges two optional race witnesses, keeping the minimum (a
 /// commutative, associative monoid — the parallel merge step).
 fn merge_witness(total: &mut Option<RaceWitness>, other: Option<RaceWitness>) {
@@ -380,103 +368,10 @@ fn merge_witness(total: &mut Option<RaceWitness>, other: Option<RaceWitness>) {
     }
 }
 
-/// [`check_drf`] on the work-stealing frontier with `cfg.threads`
-/// workers. Honours `cfg.reduction` exactly like the serial check: the
-/// ample reduction runs *inside* each worker through a shared
-/// [`ParEngine`] (with the cross-worker cycle guard; see its docs), and
-/// `Reduction::Off` keeps the naive exhaustive expansion as the
-/// differential oracle. Also honours `cfg.visited`
-/// ([`crate::explore::VisitedMode`]): compact fingerprints by default,
-/// exact states for soundness-sensitive callers.
-///
-/// Like the serial check it exits early at the first race a worker
-/// finds: the frontier drains as soon as some accumulator carries a
-/// witness. The *verdict* is still deterministic whenever the
-/// exploration is not truncated (finding-a-race is monotone), but on
-/// racy programs the reported witness and state count depend on
-/// scheduling — only a full DRF run visits the whole graph.
-///
-/// # Errors
-///
-/// Propagates `Load` failures.
-pub fn check_drf_par<L>(loaded: &Loaded<L>, cfg: &ExploreCfg) -> Result<DrfReport, LoadError>
-where
-    L: Lang + Sync,
-    L::Module: Sync,
-    L::Core: Send + Sync,
-{
-    check_drf_par_hinted(loaded, cfg, &AmpleHints::default())
-}
-
-/// [`check_drf_par`] with static escape hints — the parallel
-/// counterpart of [`check_drf_hinted`], with the same monitored
-/// fallback to the unreduced oracle.
-///
-/// # Errors
-///
-/// Propagates `Load` failures.
-pub fn check_drf_par_hinted<L>(
-    loaded: &Loaded<L>,
-    cfg: &ExploreCfg,
-    hints: &AmpleHints,
-) -> Result<DrfReport, LoadError>
-where
-    L: Lang + Sync,
-    L::Module: Sync,
-    L::Core: Send + Sync,
-{
-    match cfg.reduction {
-        Reduction::Off => check_drf_par_naive(loaded, cfg),
-        _ => check_drf_par_engine(loaded, cfg, hints.clone()),
-    }
-}
-
-/// The unreduced parallel oracle: full preemptive expansion over owned
-/// worlds, dynamically partitioned across workers.
-fn check_drf_par_naive<L>(loaded: &Loaded<L>, cfg: &ExploreCfg) -> Result<DrfReport, LoadError>
-where
-    L: Lang + Sync,
-    L::Module: Sync,
-    L::Core: Send + Sync,
-{
-    let init: World<L> = loaded.load()?;
-    let out = par_explore_with(
-        cfg.visited,
-        vec![init],
-        cfg.threads,
-        cfg.max_states,
-        |w: &World<L>, acc: &mut Option<RaceWitness>| {
-            if !w.atom {
-                let preds: Vec<_> = w
-                    .threads
-                    .iter()
-                    .map(|t| predict(loaded, t, &w.mem, cfg))
-                    .collect();
-                merge_witness(acc, find_conflict(&preds));
-            }
-            loaded
-                .step_preemptive_sched(w)
-                .into_iter()
-                .filter_map(|s| match s {
-                    GStep::Next { world, .. } => Some(world),
-                    GStep::Abort => None,
-                })
-                .collect()
-        },
-        merge_witness,
-        |acc| acc.is_some(),
-    );
-    Ok(DrfReport {
-        race: out.acc,
-        states: out.states,
-        truncated: out.truncated,
-    })
-}
-
-/// The per-`(thread, memory)` memoized prediction: the parallel engine
-/// interns both components, and [`predict`] is a pure function of them
-/// (plus the fixed `atomic_fuel`), so each distinct pair runs the
-/// prediction interpreter once across all workers.
+/// The per-`(thread, memory)` memoized prediction: the engine interns
+/// both components, and [`predict`] is a pure function of them (plus
+/// the fixed `atomic_fuel`), so each distinct pair runs the prediction
+/// interpreter once across all workers.
 fn predict_interned<L: Lang>(
     loaded: &Loaded<L>,
     eng: &ParEngine<'_, L>,
@@ -492,65 +387,6 @@ fn predict_interned<L: Lang>(
     let thread = eng.thread(tid);
     let mem = eng.memory(mid);
     cache.insert(key, Arc::new(predict(loaded, &thread, &mem, cfg)))
-}
-
-/// The reduced work-stealing DRF check: every worker expands through the
-/// shared [`ParEngine`]'s ample path, race-checking each claimed world
-/// against memoized per-`(thread, memory)` predictions.
-fn check_drf_par_engine<L>(
-    loaded: &Loaded<L>,
-    cfg: &ExploreCfg,
-    hints: AmpleHints,
-) -> Result<DrfReport, LoadError>
-where
-    L: Lang + Sync,
-    L::Module: Sync,
-    L::Core: Send + Sync,
-{
-    let eng = ParEngine::with_hints(loaded, cfg.reduction, hints);
-    let init = eng.load()?;
-    let visited = VisitedSet::new(cfg.visited);
-    let pred_cache: ShardedCache<Arc<Vec<TaggedFootprint>>> = ShardedCache::new();
-    let (eng_ref, cache_ref, visited_ref) = (&eng, &pred_cache, &visited);
-    let out =
-        ws_explore_until(
-            &visited,
-            vec![init],
-            cfg.threads,
-            cfg.max_states,
-            |_wid| {
-                let mut steps: Vec<IStep> = Vec::new();
-                let mut preds: Vec<Arc<Vec<TaggedFootprint>>> = Vec::new();
-                move |w, acc: &mut Option<RaceWitness>, buf| {
-                    if !w.atom {
-                        preds.clear();
-                        preds.extend(w.threads.iter().map(|&tid| {
-                            predict_interned(loaded, eng_ref, cache_ref, tid, w.mem, cfg)
-                        }));
-                        let slices: Vec<&[TaggedFootprint]> =
-                            preds.iter().map(|p| p.as_slice()).collect();
-                        merge_witness(acc, find_conflict_in(&slices));
-                    }
-                    eng_ref.successors_into(w, visited_ref, &mut steps);
-                    buf.extend(steps.drain(..).filter_map(|s| match s {
-                        IStep::Next { world, .. } => Some(world),
-                        IStep::Abort => None,
-                    }));
-                }
-            },
-            merge_witness,
-            |acc| acc.is_some(),
-        );
-    // A race found in the reduced graph is always real; a DRF verdict
-    // needs the scoping discipline, so re-run unreduced if it tripped.
-    if out.acc.is_none() && !eng.scoping_ok() {
-        return check_drf_par_naive(loaded, cfg);
-    }
-    Ok(DrfReport {
-        race: out.acc,
-        states: out.states,
-        truncated: out.truncated,
-    })
 }
 
 /// The per-thread dynamic footprint unions of [`collect_footprints`].
@@ -570,10 +406,13 @@ pub struct FootprintReport {
 /// Explores all reachable preemptive worlds (bounded by
 /// `cfg.max_states`, like [`check_drf`]) and accumulates, per thread,
 /// the union of the footprints of every transition that thread takes in
-/// any explored interleaving. Honours `cfg.reduction` the same way
-/// [`check_drf`] does (under the scoping discipline the reduction only
-/// reorders thread-private steps, so every thread still takes every
-/// local transition it can and the per-thread unions are unchanged).
+/// any explored interleaving. Picks its explorer from `cfg` exactly as
+/// [`check_drf`] does, with the same monitored fallback (under the
+/// scoping discipline the reduction only reorders thread-private steps,
+/// so every thread still takes every local transition it can and the
+/// per-thread unions are unchanged). Per-worker unions are merged
+/// elementwise, a commutative monoid, so the report is deterministic
+/// whenever it is not truncated.
 ///
 /// This is the concurrent counterpart of
 /// [`run_main_traced`](crate::world::run_main_traced): the dynamic
@@ -583,32 +422,59 @@ pub struct FootprintReport {
 /// # Errors
 ///
 /// Propagates `Load` failures.
-pub fn collect_footprints<L: Lang>(
+pub fn collect_footprints<L>(
     loaded: &Loaded<L>,
     cfg: &ExploreCfg,
-) -> Result<FootprintReport, LoadError> {
-    match cfg.reduction {
-        Reduction::Off => collect_footprints_naive(loaded, cfg),
-        _ => collect_footprints_engine(loaded, cfg, AmpleHints::default()),
+) -> Result<FootprintReport, LoadError>
+where
+    L: Lang + Sync,
+    L::Module: Sync,
+    L::Core: Send + Sync,
+{
+    if cfg.reduction == Reduction::Off {
+        return collect_footprints_naive(loaded, cfg);
     }
-}
-
-/// [`collect_footprints`] with static escape hints — the footprint
-/// counterpart of [`check_drf_hinted`], with the same monitored
-/// fallback.
-///
-/// # Errors
-///
-/// Propagates `Load` failures.
-pub fn collect_footprints_hinted<L: Lang>(
-    loaded: &Loaded<L>,
-    cfg: &ExploreCfg,
-    hints: &AmpleHints,
-) -> Result<FootprintReport, LoadError> {
-    match cfg.reduction {
-        Reduction::Off => collect_footprints_naive(loaded, cfg),
-        _ => collect_footprints_engine(loaded, cfg, hints.clone()),
+    let n = loaded.prog.entries.len();
+    let eng = ParEngine::new(loaded, cfg.reduction, &cfg.hints);
+    let init = eng.load()?;
+    let visited = VisitedSet::new(cfg.visited);
+    let (eng_ref, visited_ref) = (&eng, &visited);
+    let out = ws_explore_until(
+        &visited,
+        vec![init],
+        cfg.threads,
+        cfg.max_states,
+        |_wid| {
+            let mut steps: Vec<IStep> = Vec::new();
+            move |w, acc: &mut Vec<Footprint>, buf| {
+                if acc.is_empty() {
+                    *acc = vec![Footprint::emp(); n];
+                }
+                eng_ref.successors_into(w, visited_ref, &mut steps);
+                for s in steps.drain(..) {
+                    if let IStep::Next { fp, tid, world, .. } = s {
+                        acc[tid].extend(&fp);
+                        buf.push(world);
+                    }
+                }
+            }
+        },
+        merge_fps,
+        |_: &Vec<Footprint>| false,
+    );
+    if !eng.scoping_ok() {
+        return collect_footprints_naive(loaded, cfg);
     }
+    let fps = if out.acc.is_empty() {
+        vec![Footprint::emp(); n]
+    } else {
+        out.acc
+    };
+    Ok(FootprintReport {
+        fps,
+        states: out.states,
+        truncated: out.truncated,
+    })
 }
 
 fn collect_footprints_naive<L: Lang>(
@@ -646,43 +512,6 @@ fn collect_footprints_naive<L: Lang>(
     })
 }
 
-fn collect_footprints_engine<L: Lang>(
-    loaded: &Loaded<L>,
-    cfg: &ExploreCfg,
-    hints: AmpleHints,
-) -> Result<FootprintReport, LoadError> {
-    let mut eng = Engine::with_hints(loaded, cfg.reduction, hints);
-    let mut fps = vec![Footprint::emp(); loaded.prog.entries.len()];
-    let mut visited: FxHashSet<_> = FxHashSet::default();
-    let mut stack = vec![eng.load()?];
-    let mut truncated = false;
-    while let Some(w) = stack.pop() {
-        if !visited.insert(w.clone()) {
-            continue;
-        }
-        if visited.len() >= cfg.max_states {
-            truncated = true;
-            break;
-        }
-        for step in eng.successors(&w) {
-            if let IStep::Next { fp, tid, world, .. } = step {
-                fps[tid].extend(&fp);
-                if !visited.contains(&world) {
-                    stack.push(world);
-                }
-            }
-        }
-    }
-    if !eng.scoping_ok() {
-        return collect_footprints_naive(loaded, cfg);
-    }
-    Ok(FootprintReport {
-        fps,
-        states: visited.len(),
-        truncated,
-    })
-}
-
 /// Elementwise union of per-worker footprint vectors (a commutative
 /// monoid; the empty vector is the identity).
 fn merge_fps(total: &mut Vec<Footprint>, part: Vec<Footprint>) {
@@ -695,143 +524,76 @@ fn merge_fps(total: &mut Vec<Footprint>, part: Vec<Footprint>) {
     }
 }
 
-/// [`collect_footprints`] on the work-stealing frontier with
-/// `cfg.threads` workers, honouring `cfg.reduction` like the serial
-/// collector (ample reduction in-worker, with the monitored fallback).
-/// Per-worker unions are merged elementwise, a commutative monoid, so
-/// the report is deterministic whenever it is not truncated.
-///
-/// # Errors
-///
-/// Propagates `Load` failures.
-pub fn collect_footprints_par<L>(
-    loaded: &Loaded<L>,
-    cfg: &ExploreCfg,
-) -> Result<FootprintReport, LoadError>
-where
-    L: Lang + Sync,
-    L::Module: Sync,
-    L::Core: Send + Sync,
-{
-    match cfg.reduction {
-        Reduction::Off => collect_footprints_par_naive(loaded, cfg),
-        _ => collect_footprints_par_engine(loaded, cfg, AmpleHints::default()),
-    }
-}
-
-fn collect_footprints_par_naive<L>(
-    loaded: &Loaded<L>,
-    cfg: &ExploreCfg,
-) -> Result<FootprintReport, LoadError>
-where
-    L: Lang + Sync,
-    L::Module: Sync,
-    L::Core: Send + Sync,
-{
-    let n = loaded.prog.entries.len();
-    let init: World<L> = loaded.load()?;
-    let out = par_explore_with(
-        cfg.visited,
-        vec![init],
-        cfg.threads,
-        cfg.max_states,
-        |w: &World<L>, acc: &mut Vec<Footprint>| {
-            if acc.is_empty() {
-                *acc = vec![Footprint::emp(); n];
-            }
-            loaded
-                .step_preemptive_sched(w)
-                .into_iter()
-                .filter_map(|s| match s {
-                    GStep::Next { fp, world, .. } => {
-                        acc[world.cur].extend(&fp);
-                        Some(world)
-                    }
-                    GStep::Abort => None,
-                })
-                .collect()
-        },
-        merge_fps,
-        |_: &Vec<Footprint>| false,
-    );
-    let fps = if out.acc.is_empty() {
-        vec![Footprint::emp(); n]
-    } else {
-        out.acc
-    };
-    Ok(FootprintReport {
-        fps,
-        states: out.states,
-        truncated: out.truncated,
-    })
-}
-
-fn collect_footprints_par_engine<L>(
-    loaded: &Loaded<L>,
-    cfg: &ExploreCfg,
-    hints: AmpleHints,
-) -> Result<FootprintReport, LoadError>
-where
-    L: Lang + Sync,
-    L::Module: Sync,
-    L::Core: Send + Sync,
-{
-    let n = loaded.prog.entries.len();
-    let eng = ParEngine::with_hints(loaded, cfg.reduction, hints);
-    let init = eng.load()?;
-    let visited = VisitedSet::new(cfg.visited);
-    let (eng_ref, visited_ref) = (&eng, &visited);
-    let out = ws_explore_until(
-        &visited,
-        vec![init],
-        cfg.threads,
-        cfg.max_states,
-        |_wid| {
-            let mut steps: Vec<IStep> = Vec::new();
-            move |w, acc: &mut Vec<Footprint>, buf| {
-                if acc.is_empty() {
-                    *acc = vec![Footprint::emp(); n];
-                }
-                eng_ref.successors_into(w, visited_ref, &mut steps);
-                for s in steps.drain(..) {
-                    if let IStep::Next { fp, tid, world, .. } = s {
-                        acc[tid].extend(&fp);
-                        buf.push(world);
-                    }
-                }
-            }
-        },
-        merge_fps,
-        |_: &Vec<Footprint>| false,
-    );
-    if !eng.scoping_ok() {
-        return collect_footprints_par_naive(loaded, cfg);
-    }
-    let fps = if out.acc.is_empty() {
-        vec![Footprint::emp(); n]
-    } else {
-        out.acc
-    };
-    Ok(FootprintReport {
-        fps,
-        states: out.states,
-        truncated: out.truncated,
-    })
-}
-
 /// `NPDRF(P)`: the race check over the non-preemptive semantics. Threads
 /// parked inside an atomic block (their bit in `𝕕` is 1) contribute the
 /// `τ*` suffix of their pending block as an atomic prediction.
 ///
+/// [`Reduction::Off`] runs the exhaustive sequential oracle; any other
+/// `cfg.reduction` runs the work-stealing frontier with `cfg.threads`
+/// workers over a `cfg.visited` visited set. The non-preemptive graph
+/// is already interleaving-minimal (switch points only at atomic
+/// boundaries and termination), so no reduction applies on either
+/// path. Exits at the first race found, with the same caveats as
+/// [`check_drf`].
+///
 /// # Errors
 ///
 /// Propagates `Load` failures.
-pub fn check_npdrf<L: Lang>(loaded: &Loaded<L>, cfg: &ExploreCfg) -> Result<DrfReport, LoadError> {
-    let mut visited = FxHashSet::default();
-    let mut stack = Vec::new();
+pub fn check_npdrf<L>(loaded: &Loaded<L>, cfg: &ExploreCfg) -> Result<DrfReport, LoadError>
+where
+    L: Lang + Sync,
+    L::Module: Sync,
+    L::Core: Send + Sync,
+{
+    let mut initials = Vec::new();
     for t in 0..loaded.prog.entries.len() {
-        stack.push(loaded.np_load_with_first(t)?);
+        initials.push(loaded.np_load_with_first(t)?);
     }
+    if cfg.reduction == Reduction::Off {
+        return Ok(check_npdrf_naive(loaded, initials, cfg));
+    }
+    let out = ws_explore_until(
+        &VisitedSet::new(cfg.visited),
+        initials,
+        cfg.threads,
+        cfg.max_states,
+        |_wid| {
+            |w: &NpWorld<L>, acc: &mut Option<RaceWitness>, buf: &mut Vec<NpWorld<L>>| {
+                let preds: Vec<_> = w
+                    .threads
+                    .iter()
+                    .enumerate()
+                    .map(|(t, ts)| predict_np(loaded, ts, &w.mem, w.dbits[t], cfg))
+                    .collect();
+                merge_witness(acc, find_conflict(&preds));
+                buf.extend(loaded.step_np(w).into_iter().filter_map(|s| match s {
+                    NpStep::Next { world, .. } => Some(world),
+                    NpStep::Abort => None,
+                }));
+            }
+        },
+        merge_witness,
+        |acc| acc.is_some(),
+    );
+    Ok(DrfReport {
+        race: out.acc,
+        states: out.states,
+        truncated: out.truncated,
+    })
+}
+
+// The benchmark package (`perfbench/`) still imports the old name.
+#[doc(hidden)]
+pub use self::check_npdrf as check_npdrf_par;
+
+/// The exhaustive NPDRF oracle: plain DFS over owned worlds from every
+/// initial thread choice.
+fn check_npdrf_naive<L: Lang>(
+    loaded: &Loaded<L>,
+    mut stack: Vec<NpWorld<L>>,
+    cfg: &ExploreCfg,
+) -> DrfReport {
+    let mut visited = FxHashSet::default();
     let mut truncated = false;
     while let Some(w) = stack.pop() {
         if !visited.insert(w.clone()) {
@@ -848,11 +610,11 @@ pub fn check_npdrf<L: Lang>(loaded: &Loaded<L>, cfg: &ExploreCfg) -> Result<DrfR
             .map(|(t, ts)| predict_np(loaded, ts, &w.mem, w.dbits[t], cfg))
             .collect();
         if let Some(witness) = find_conflict(&preds) {
-            return Ok(DrfReport {
+            return DrfReport {
                 race: Some(witness),
                 states: visited.len(),
                 truncated,
-            });
+            };
         }
         for step in loaded.step_np(&w) {
             if let NpStep::Next { world, .. } = step {
@@ -862,63 +624,11 @@ pub fn check_npdrf<L: Lang>(loaded: &Loaded<L>, cfg: &ExploreCfg) -> Result<DrfR
             }
         }
     }
-    Ok(DrfReport {
+    DrfReport {
         race: None,
         states: visited.len(),
         truncated,
-    })
-}
-
-/// [`check_npdrf`] on the work-stealing frontier with `cfg.threads`
-/// workers. The non-preemptive graph is already interleaving-minimal
-/// (switch points only at atomic boundaries and termination), so no
-/// reduction applies — the parallel frontier alone carries the speedup.
-/// Exits early at the first race a worker finds, with the same caveats
-/// as [`check_drf_par`].
-///
-/// # Errors
-///
-/// Propagates `Load` failures.
-pub fn check_npdrf_par<L>(loaded: &Loaded<L>, cfg: &ExploreCfg) -> Result<DrfReport, LoadError>
-where
-    L: Lang + Sync,
-    L::Module: Sync,
-    L::Core: Send + Sync,
-{
-    let mut initials = Vec::new();
-    for t in 0..loaded.prog.entries.len() {
-        initials.push(loaded.np_load_with_first(t)?);
     }
-    let out = par_explore_with(
-        cfg.visited,
-        initials,
-        cfg.threads,
-        cfg.max_states,
-        |w: &NpWorld<L>, acc: &mut Option<RaceWitness>| {
-            let preds: Vec<_> = w
-                .threads
-                .iter()
-                .enumerate()
-                .map(|(t, ts)| predict_np(loaded, ts, &w.mem, w.dbits[t], cfg))
-                .collect();
-            merge_witness(acc, find_conflict(&preds));
-            loaded
-                .step_np(w)
-                .into_iter()
-                .filter_map(|s| match s {
-                    NpStep::Next { world, .. } => Some(world),
-                    NpStep::Abort => None,
-                })
-                .collect()
-        },
-        merge_witness,
-        |acc| acc.is_some(),
-    );
-    Ok(DrfReport {
-        race: out.acc,
-        states: out.states,
-        truncated: out.truncated,
-    })
 }
 
 #[cfg(test)]

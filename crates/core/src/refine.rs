@@ -18,9 +18,7 @@
 //! equivalence `let Π in f1 | … | fn ≈ let Π in f1 ∥ … ∥ fn` for DRF
 //! programs (Lem. 9, steps ① and ② of Fig. 2).
 
-use crate::explore::{
-    par_explore_with, FxHashMap, FxHashSet, ParPreemptive, Reduction, VisitedMode,
-};
+use crate::explore::{AmpleHints, FxHashMap, FxHashSet, ParPreemptive, Reduction, VisitedMode};
 use crate::lang::{Event, Lang};
 use crate::npworld::{NpStep, NpWorld};
 use crate::world::{GLabel, GStep, LoadError, Loaded, World};
@@ -29,7 +27,7 @@ use std::hash::Hash;
 use std::rc::Rc;
 
 /// Exploration bounds shared by the trace, safety, and race checkers.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct ExploreCfg {
     /// Maximum number of global steps along any single path.
     pub fuel: usize,
@@ -37,18 +35,30 @@ pub struct ExploreCfg {
     pub max_states: usize,
     /// Bound on `τ*` lookahead inside atomic blocks (race prediction).
     pub atomic_fuel: usize,
-    /// Partial-order reduction applied by the preemptive explorers
-    /// ([`crate::race::check_drf`], [`crate::race::collect_footprints`],
-    /// [`collect_traces_preemptive`]). `Off` is the exhaustive oracle.
+    /// Which explorer runs ([`crate::race::check_drf`],
+    /// [`crate::race::collect_footprints`], [`crate::race::check_npdrf`],
+    /// [`collect_traces_preemptive`]): `Off` is the exhaustive
+    /// sequential oracle, anything else the interned, memoised engine
+    /// ([`crate::explore::ParEngine`]) with that partial-order reduction
+    /// (NPDRF has none and runs the engine's frontier unreduced).
     pub reduction: Reduction,
-    /// Worker threads used by the parallel `*_par` explorers (ignored by
-    /// the serial entry points; `0` and `1` both mean one inline worker).
+    /// Workers of the engine's work-stealing frontier; `0` and `1` both
+    /// mean one worker, run inline on the calling thread. The oracle
+    /// (`Reduction::Off`), trace collection, and the `check_safe`,
+    /// `count_states`, `ReachClose` and well-definedness checks are
+    /// sequential and ignore it.
     pub threads: usize,
-    /// How the parallel explorers store their visited set: compact
+    /// How the engine's frontier stores its visited set: compact
     /// 64-bit fingerprints (the default) or exact states — see
     /// [`crate::explore::VisitedMode`] for the collision trade-off.
-    /// Soundness-sensitive callers (the fuzz oracle) pick `Exact`.
+    /// Soundness-sensitive callers (the fuzz oracle) pick `Exact`. The
+    /// sequential explorers always store exact states.
     pub visited: VisitedMode,
+    /// Untrusted per-thread privacy hints that widen the ample
+    /// criterion (see [`AmpleHints`]); empty by default. The engine
+    /// monitors them and falls back to the oracle when one is violated,
+    /// so a wrong hint costs time, never soundness.
+    pub hints: AmpleHints,
 }
 
 impl Default for ExploreCfg {
@@ -60,6 +70,7 @@ impl Default for ExploreCfg {
             reduction: Reduction::Off,
             threads: 1,
             visited: VisitedMode::Fingerprint,
+            hints: AmpleHints::default(),
         }
     }
 }
@@ -452,16 +463,16 @@ pub fn collect_traces<S: Semantics>(sem: &S, cfg: &ExploreCfg) -> Result<TraceSe
 }
 
 /// Collects the bounded trace set of a loaded program under the
-/// preemptive semantics, honouring `cfg.reduction`: with
-/// [`Reduction::Off`] this is exactly `collect_traces(&Preemptive(l))`;
-/// otherwise [`collect_traces`] runs single-threaded over the interned,
-/// memoised, partial-order-reducing
-/// [`ParEngine`](crate::explore::ParEngine) — the engine the parallel
-/// DRF checks use — and if its scoping monitor trips (a step's
-/// footprint escaped its thread's region, voiding the independence
-/// argument) the exhaustive exploration is re-run so the result is
-/// always sound. `cfg.threads` and `cfg.visited` do not apply: the
-/// ample cycle guard always checks an exact set of expanded states.
+/// preemptive semantics, honouring `cfg.reduction` and `cfg.hints`:
+/// with [`Reduction::Off`] this is exactly
+/// `collect_traces(&Preemptive(l))`; otherwise [`collect_traces`] runs
+/// single-threaded over the interned, memoised, partial-order-reducing
+/// [`ParEngine`](crate::explore::ParEngine) — the engine the DRF checks
+/// use — and if its scoping monitor trips (a step's footprint escaped
+/// its thread's region or a hint, voiding the independence argument)
+/// the exhaustive exploration is re-run so the result is always sound.
+/// `cfg.threads` and `cfg.visited` do not apply: the ample cycle guard
+/// always checks an exact set of expanded states.
 ///
 /// # Errors
 ///
@@ -473,7 +484,7 @@ pub fn collect_traces_preemptive<L: Lang>(
     if cfg.reduction == Reduction::Off {
         return collect_traces(&Preemptive(loaded), cfg);
     }
-    let sem = ParPreemptive::new(loaded, cfg.reduction);
+    let sem = ParPreemptive::new(loaded, cfg.reduction, &cfg.hints);
     let ts = collect_traces(&sem, cfg)?;
     if sem.scoping_ok() {
         Ok(ts)
@@ -611,81 +622,6 @@ pub fn count_states<S: Semantics>(sem: &S, cfg: &ExploreCfg) -> Result<SafetyRep
         safe: true,
         states: visited.len(),
         truncated,
-    })
-}
-
-/// [`check_safe`] on the work-stealing frontier with `cfg.threads`
-/// workers (early-exiting on the first abort any worker reaches), over a
-/// visited set in `cfg.visited` mode. The verdict is deterministic
-/// whenever the exploration is not truncated: abort reachability is
-/// monotone in the explored set.
-///
-/// # Errors
-///
-/// Propagates `Load` failures.
-pub fn check_safe_par<S>(sem: &S, cfg: &ExploreCfg) -> Result<SafetyReport, LoadError>
-where
-    S: Semantics + Sync,
-    S::State: Send,
-{
-    let out = par_explore_with(
-        cfg.visited,
-        sem.initials()?,
-        cfg.threads,
-        cfg.max_states,
-        |s: &S::State, abort_found: &mut bool| {
-            let mut succs = Vec::new();
-            for succ in sem.successors(s) {
-                match succ {
-                    SuccStep::Next { state, .. } => succs.push(state),
-                    SuccStep::Abort => *abort_found = true,
-                }
-            }
-            succs
-        },
-        |total, part| *total |= part,
-        |abort_found| *abort_found,
-    );
-    Ok(SafetyReport {
-        safe: !out.acc,
-        states: out.states,
-        truncated: out.truncated,
-    })
-}
-
-/// [`count_states`] on the work-stealing frontier with `cfg.threads`
-/// workers over a visited set in `cfg.visited` mode (in fingerprint
-/// mode the count is exact up to 64-bit collisions).
-///
-/// # Errors
-///
-/// Propagates `Load` failures.
-pub fn count_states_par<S>(sem: &S, cfg: &ExploreCfg) -> Result<SafetyReport, LoadError>
-where
-    S: Semantics + Sync,
-    S::State: Send,
-{
-    let out = par_explore_with(
-        cfg.visited,
-        sem.initials()?,
-        cfg.threads,
-        cfg.max_states,
-        |s: &S::State, (): &mut ()| {
-            sem.successors(s)
-                .into_iter()
-                .filter_map(|succ| match succ {
-                    SuccStep::Next { state, .. } => Some(state),
-                    SuccStep::Abort => None,
-                })
-                .collect()
-        },
-        |(), ()| {},
-        |()| false,
-    );
-    Ok(SafetyReport {
-        safe: true,
-        states: out.states,
-        truncated: out.truncated,
     })
 }
 

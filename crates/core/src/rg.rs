@@ -10,7 +10,7 @@
 //! footprint-consistency obligation `FPmatch` central to DRF
 //! preservation.
 
-use crate::explore::{par_explore_with, FxHashSet};
+use crate::explore::{gains_fuel, FxHashMap};
 use crate::footprint::{fp_match, mem_eq_on, Footprint, Mu};
 use crate::lang::{Lang, StepMsg};
 use crate::mem::{forward, Addr, FreeList, GlobalEnv, Memory, Val};
@@ -125,10 +125,7 @@ pub fn init_m(mu: &Mu, ge: &GlobalEnv, src: &Memory, tgt: &Memory) -> bool {
 }
 
 /// A violation of the `ReachClose` obligation (Def. 4).
-///
-/// `Ord` (lexicographic on reason, then footprint) lets the parallel
-/// checker merge per-worker findings into a deterministic minimum.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RcViolation {
     /// Human-readable description of the failing condition.
     pub reason: String,
@@ -154,6 +151,9 @@ pub type EnvPerturbation = dyn Fn(&mut Memory, &BTreeSet<Addr>) + Sync;
 /// External calls are answered with `Val::Int(0)` (objects under test
 /// export closed entry points; clients' external calls are switch
 /// points whose return value is part of the environment, sampled here).
+/// A configuration reached again with more fuel than it was first
+/// expanded with is expanded again, so the verdict does not depend on
+/// which of two paths to it the search takes first.
 ///
 /// # Errors
 ///
@@ -171,9 +171,9 @@ pub fn check_reach_close<L: Lang + Clone>(
 ) -> Result<(), RcViolation> {
     let (shared, loaded, thread) = rc_setup(lang, module, ge, entry, init_mem, flist)?;
     let mut stack = vec![(thread, init_mem.clone(), cfg.fuel)];
-    let mut seen = FxHashSet::default();
+    let mut seen = FxHashMap::default();
     while let Some((thread, mem, fuel)) = stack.pop() {
-        if fuel == 0 || !seen.insert((thread.clone(), mem.clone())) {
+        if fuel == 0 || !gains_fuel(&mut seen, (thread.clone(), mem.clone()), fuel) {
             continue;
         }
         if seen.len() >= cfg.max_states {
@@ -192,76 +192,8 @@ pub fn check_reach_close<L: Lang + Clone>(
     Ok(())
 }
 
-/// [`check_reach_close`] on a worker pool of `cfg.threads` OS threads.
-///
-/// The parallel frontier dedups on `(thread, memory, fuel)` — including
-/// the fuel, unlike the serial check, whose fuel-blind `seen` set makes
-/// fuel-bound verdicts depend on pop order. The two therefore agree
-/// whenever `cfg.fuel` does not bind (the serial check may *miss*
-/// violations behind a state first reached with little fuel; the
-/// parallel one will not). Per-worker violations merge to the minimum,
-/// so the verdict and the reported violation are deterministic whenever
-/// the exploration is not truncated.
-///
-/// # Errors
-///
-/// Returns the minimal violation found.
-#[allow(clippy::too_many_arguments)]
-pub fn check_reach_close_par<L>(
-    lang: &L,
-    module: &L::Module,
-    ge: &GlobalEnv,
-    entry: &str,
-    init_mem: &Memory,
-    flist: FreeList,
-    perturbations: &[&EnvPerturbation],
-    cfg: &ExploreCfg,
-) -> Result<(), RcViolation>
-where
-    L: Lang + Clone + Sync,
-    L::Module: Sync,
-    L::Core: Send + Sync,
-{
-    if cfg.threads <= 1 {
-        return check_reach_close(lang, module, ge, entry, init_mem, flist, perturbations, cfg);
-    }
-    let (shared, loaded, thread) = rc_setup(lang, module, ge, entry, init_mem, flist)?;
-    let out = par_explore_with(
-        cfg.visited,
-        vec![(thread, init_mem.clone(), cfg.fuel)],
-        cfg.threads,
-        cfg.max_states,
-        |(thread, mem, fuel): &(ThreadState<L>, Memory, usize), acc: &mut Option<RcViolation>| {
-            if *fuel == 0 {
-                return Vec::new();
-            }
-            match rc_expand(&loaded, flist, &shared, perturbations, thread, mem, *fuel) {
-                Ok(succs) => succs,
-                Err(v) => {
-                    if acc.as_ref().is_none_or(|prev| v < *prev) {
-                        *acc = Some(v);
-                    }
-                    Vec::new()
-                }
-            }
-        },
-        |total, part| {
-            if let Some(v) = part {
-                if total.as_ref().is_none_or(|prev| v < *prev) {
-                    *total = Some(v);
-                }
-            }
-        },
-        |_: &Option<RcViolation>| false,
-    );
-    match out.acc {
-        Some(v) => Err(v),
-        None => Ok(()),
-    }
-}
-
-/// Shared setup of the `ReachClose` checkers: the shared set `S`, the
-/// one-module program context, and the initial thread state.
+/// Setup of [`check_reach_close`]: the shared set `S`, the one-module
+/// program context, and the initial thread state.
 #[allow(clippy::type_complexity)]
 fn rc_setup<L: Lang + Clone>(
     lang: &L,
@@ -522,6 +454,70 @@ mod tests {
             &ExploreCfg::default(),
         )
         .expect_err("foreign access must be rejected");
+        assert!(err.reason.contains("HG"), "{err:?}");
+    }
+
+    /// [`TrespassingLang`]'s foreign read behind a detour: core 0 steps
+    /// silently to 1 and to 2, which also steps to 1; 1 steps to 3,
+    /// whose step reads another thread's stack cell. With fuel 3 the
+    /// read is in reach only over the direct edge, and the search takes
+    /// the detour first.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    struct DetourLang;
+
+    impl crate::lang::Lang for DetourLang {
+        type Module = ();
+        type Core = u8;
+
+        fn name(&self) -> &'static str {
+            "detour"
+        }
+        fn exports(&self, _m: &()) -> Vec<String> {
+            vec!["f".into()]
+        }
+        fn init_core(&self, _m: &(), _ge: &GlobalEnv, entry: &str, _args: &[Val]) -> Option<u8> {
+            (entry == "f").then_some(0)
+        }
+        fn step(
+            &self,
+            _m: &(),
+            _ge: &GlobalEnv,
+            _fl: &FreeList,
+            core: &u8,
+            mem: &Memory,
+        ) -> Vec<crate::lang::LocalStep<u8>> {
+            let step = |fp, core| crate::lang::LocalStep::Step {
+                msg: StepMsg::Tau,
+                fp,
+                core,
+                mem: mem.clone(),
+            };
+            match core {
+                0 => vec![step(Footprint::emp(), 1), step(Footprint::emp(), 2)],
+                2 => vec![step(Footprint::emp(), 1)],
+                1 => vec![step(Footprint::emp(), 3)],
+                _ => vec![step(Footprint::read(FreeList::for_thread(9).addr_at(0)), 4)],
+            }
+        }
+        fn resume(&self, _m: &(), _c: &u8, _ret: Val) -> Option<u8> {
+            None
+        }
+    }
+
+    #[test]
+    fn foreign_access_behind_a_detour_is_rejected() {
+        let ge = GlobalEnv::new();
+        let err = check_reach_close(
+            &DetourLang,
+            &(),
+            &ge,
+            "f",
+            &ge.initial_memory(),
+            FreeList::for_thread(0),
+            &[],
+            &ExploreCfg::with_fuel(3),
+        )
+        .expect_err("the foreign read is three steps away over the direct edge");
         assert!(err.reason.contains("HG"), "{err:?}");
     }
 

@@ -18,17 +18,14 @@
 //! memory perturbations, which is how every language crate in this
 //! workspace validates its `Lang` instance.
 
-use crate::explore::{par_explore_with, FxHashSet};
+use crate::explore::{gains_fuel, FxHashMap, FxHashSet};
 use crate::footprint::{leffect, leq_post, leq_pre, Footprint};
 use crate::lang::{Lang, LocalStep, StepMsg};
 use crate::mem::{forward, Addr, FreeList, GlobalEnv, Memory, Val};
 use crate::refine::ExploreCfg;
 
 /// A violation of one of the four well-definedness conditions.
-///
-/// `Ord` (item first, then detail) lets the parallel checker merge
-/// per-worker findings into a deterministic minimum.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct WdViolation {
     /// Which Def. 1 item failed (1–4).
     pub item: u8,
@@ -131,7 +128,10 @@ fn same_step_shape<C: PartialEq>(a: &LocalStep<C>, b: &LocalStep<C>) -> bool {
 }
 
 /// Checks Def. 1 for one language instance along the executions of
-/// `entry`, answering external calls with `Int(0)`.
+/// `entry`, answering external calls with `Int(0)`. A configuration
+/// reached again with more fuel than it was first expanded with is
+/// expanded (and checked) again, so the verdict does not depend on
+/// which of two paths to it the search takes first.
 ///
 /// # Errors
 ///
@@ -169,9 +169,9 @@ pub fn check_wd<L: Lang>(
         });
     };
     let mut stack: Vec<(L::Core, Memory, usize)> = vec![(core, init_mem.clone(), cfg.fuel)];
-    let mut seen: FxHashSet<(L::Core, Memory)> = FxHashSet::default();
+    let mut seen: FxHashMap<(L::Core, Memory), usize> = FxHashMap::default();
     while let Some((core, mem, fuel)) = stack.pop() {
-        if fuel == 0 || !seen.insert((core.clone(), mem.clone())) {
+        if fuel == 0 || !gains_fuel(&mut seen, (core.clone(), mem.clone()), fuel) {
             continue;
         }
         if seen.len() >= cfg.max_states {
@@ -195,9 +195,8 @@ pub fn check_wd<L: Lang>(
     Ok(report)
 }
 
-/// Runs the four Def. 1 item checks on one configuration `(κ, σ)` and
-/// returns its step outcomes (shared by [`check_wd`] and
-/// [`check_wd_par`]).
+/// Runs the four Def. 1 item checks on one configuration `(κ, σ)` of
+/// [`check_wd`] and returns its step outcomes.
 fn wd_check_config<L: Lang>(
     lang: &L,
     module: &L::Module,
@@ -331,90 +330,6 @@ fn wd_check_config<L: Lang>(
         }
     }
     Ok(steps)
-}
-
-/// [`check_wd`] on a worker pool of `cfg.threads` OS threads. The
-/// parallel frontier dedups on `(κ, σ, fuel)` — including the fuel,
-/// unlike the serial check — so the two agree whenever `cfg.fuel` does
-/// not bind. Per-worker statistics are summed and violations merged to
-/// the minimum, so the result is deterministic whenever the exploration
-/// is not truncated.
-///
-/// # Errors
-///
-/// Returns the minimal [`WdViolation`] found.
-pub fn check_wd_par<L>(
-    lang: &L,
-    module: &L::Module,
-    ge: &GlobalEnv,
-    entry: &str,
-    init_mem: &Memory,
-    cfg: &ExploreCfg,
-) -> Result<WdReport, WdViolation>
-where
-    L: Lang + Sync,
-    L::Module: Sync,
-    L::Core: Send + Sync,
-{
-    if cfg.threads <= 1 {
-        return check_wd(lang, module, ge, entry, init_mem, cfg);
-    }
-    let flist = FreeList::for_thread(0);
-    let Some(core) = lang.init_core(module, ge, entry, &[]) else {
-        return Err(WdViolation {
-            item: 0,
-            detail: format!("InitCore failed for `{entry}`"),
-        });
-    };
-    let out = par_explore_with(
-        cfg.visited,
-        vec![(core, init_mem.clone(), cfg.fuel)],
-        cfg.threads,
-        cfg.max_states,
-        |(core, mem, fuel): &(L::Core, Memory, usize),
-         acc: &mut (WdReport, Option<WdViolation>)| {
-            if *fuel == 0 {
-                return Vec::new();
-            }
-            let steps = match wd_check_config(lang, module, ge, &flist, core, mem, &mut acc.0) {
-                Ok(steps) => steps,
-                Err(v) => {
-                    if acc.1.as_ref().is_none_or(|prev| v < *prev) {
-                        acc.1 = Some(v);
-                    }
-                    return Vec::new();
-                }
-            };
-            let mut succ = Vec::new();
-            for s in steps {
-                match s {
-                    LocalStep::Step { core, mem, .. } => succ.push((core, mem, fuel - 1)),
-                    LocalStep::Call { cont, .. } => {
-                        if let Some(resumed) = lang.resume(module, &cont, Val::Int(0)) {
-                            succ.push((resumed, mem.clone(), fuel - 1));
-                        }
-                    }
-                    LocalStep::Ret { .. } | LocalStep::Abort => {}
-                }
-            }
-            succ
-        },
-        |total: &mut (WdReport, Option<WdViolation>), part| {
-            total.0.configs += part.0.configs;
-            total.0.steps += part.0.steps;
-            total.0.perturbed_runs += part.0.perturbed_runs;
-            if let Some(v) = part.1 {
-                if total.1.as_ref().is_none_or(|prev| v < *prev) {
-                    total.1 = Some(v);
-                }
-            }
-        },
-        |_: &(WdReport, Option<WdViolation>)| false,
-    );
-    match out.acc.1 {
-        Some(v) => Err(v),
-        None => Ok(out.acc.0),
-    }
 }
 
 /// Checks `det(tl)` — every configuration reached from `entry` has at
@@ -593,6 +508,67 @@ mod tests {
         fn resume(&self, _m: &(), _c: &u8, _ret: Val) -> Option<u8> {
             None
         }
+    }
+
+    /// [`LyingLang`]'s lie behind a detour: core 0 steps silently to 1
+    /// and to 2, which also steps to 1; 1 steps to 3, whose step lies.
+    /// With fuel 3 the lie is in reach only over the direct edge, and
+    /// the search takes the detour first.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    struct DetourLang;
+
+    impl Lang for DetourLang {
+        type Module = ();
+        type Core = u8;
+
+        fn name(&self) -> &'static str {
+            "detour"
+        }
+        fn exports(&self, _m: &()) -> Vec<String> {
+            vec!["f".into()]
+        }
+        fn init_core(&self, _m: &(), _ge: &GlobalEnv, entry: &str, _args: &[Val]) -> Option<u8> {
+            (entry == "f").then_some(0)
+        }
+        fn step(
+            &self,
+            _m: &(),
+            ge: &GlobalEnv,
+            fl: &FreeList,
+            core: &u8,
+            mem: &Memory,
+        ) -> Vec<LocalStep<u8>> {
+            let tau = |core| LocalStep::Step {
+                msg: StepMsg::Tau,
+                fp: Footprint::emp(),
+                core,
+                mem: mem.clone(),
+            };
+            match core {
+                0 => vec![tau(1), tau(2)],
+                2 => vec![tau(1)],
+                1 => vec![tau(3)],
+                _ => LyingLang.step(&(), ge, fl, &0, mem),
+            }
+        }
+        fn resume(&self, _m: &(), _c: &u8, _ret: Val) -> Option<u8> {
+            None
+        }
+    }
+
+    #[test]
+    fn lie_behind_a_detour_is_caught() {
+        let ge = toy_globals(&[("x", 1)]);
+        let err = check_wd(
+            &DetourLang,
+            &(),
+            &ge,
+            "f",
+            &ge.initial_memory(),
+            &ExploreCfg::with_fuel(3),
+        )
+        .expect_err("the lie is three steps away over the direct edge");
+        assert_eq!(err.item, 2);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! a differential oracle that drives every IR's footprint-instrumented
 //! interpreter plus the SC and TSO machines and localizes the first
 //! disagreeing pass ([`oracle`]), a delta-debugging shrinker
-//! ([`shrink`]), a persisted regression corpus ([`corpus`], [`text`]),
+//! ([`shrink()`]), a persisted regression corpus ([`corpus`], [`text`]),
 //! and a mutation-kill scoreboard proving every pipeline mutant of
 //! [`ccc_compiler::Mutant`] is caught within a bounded fuzz budget,
 //! optionally seeded with the corpus witnesses ([`mutation`]).

@@ -34,7 +34,7 @@ use ccc_compiler::{
 use ccc_core::footprint::{fp_match, Mu};
 use ccc_core::lang::Lang;
 use ccc_core::mem::GlobalEnv;
-use ccc_core::race::check_drf_par;
+use ccc_core::race::check_drf;
 use ccc_core::refine::{collect_traces_preemptive, trace_equiv, ExploreCfg, Terminal, Trace};
 use ccc_core::world::{replay_schedule, run_main_traced, run_schedule_recorded, Loaded, RunEnd};
 use ccc_core::{Reduction, VisitedMode};
@@ -220,7 +220,7 @@ where
     L::Core: Send + Sync,
 {
     let ts = collect_traces_preemptive(loaded, cfg).map_err(|e| format!("{e:?}"))?;
-    let drf = check_drf_par(loaded, cfg).map_err(|e| format!("{e:?}"))?;
+    let drf = check_drf(loaded, cfg).map_err(|e| format!("{e:?}"))?;
     Ok(ConcObs {
         traces: (!ts.truncated).then_some(ts),
         // A found race is a definite verdict even if the exploration

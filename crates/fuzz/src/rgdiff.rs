@@ -1,6 +1,6 @@
 //! Differential harness for the static rely-guarantee certifier: the
 //! static per-module verdict ([`ccc_analysis::rg_cert`]) against the
-//! exhaustive exploration (`ccc_core::race::check_drf_par`).
+//! exhaustive exploration (`ccc_core::race::check_drf`).
 //!
 //! The contract is one-directional, like every static/dynamic pair in
 //! the repo: the static verdict must *over-approximate* interference.
@@ -11,7 +11,7 @@
 
 use crate::spec::{lower, FuzzProgram};
 use ccc_analysis::{infer_lock_model, infer_rg_cert, rg_cert_violation, RgCert};
-use ccc_core::race::check_drf_par;
+use ccc_core::race::check_drf;
 use ccc_core::refine::ExploreCfg;
 use ccc_sync::lock::lock_spec;
 
@@ -50,7 +50,7 @@ pub fn check_rg_vs_exploration(p: &FuzzProgram, cfg: &ExploreCfg) -> Result<RgDi
     }
     let certified_stable = cert.is_stable();
     let loaded = crate::link::load_client(module, ge, entries);
-    let drf = check_drf_par(&loaded, cfg).map_err(|e| format!("load failed: {e:?}"))?;
+    let drf = check_drf(&loaded, cfg).map_err(|e| format!("load failed: {e:?}"))?;
     let explored_drf = if drf.is_drf() {
         (!drf.truncated).then_some(true)
     } else {

@@ -5,7 +5,7 @@
 //! every instance lowers to a *well-formed* Clight module (temporaries
 //! initialized, addressable locals assigned before use, loops bounded,
 //! lock/unlock always balanced). Keeping the representation first-order
-//! is what makes the delta-debugging shrinker ([`crate::shrink`]) and
+//! is what makes the delta-debugging shrinker ([`crate::shrink()`]) and
 //! the textual regression corpus ([`crate::corpus`]) simple: every
 //! structural edit of a `FuzzProgram` is again a valid program.
 

@@ -1,4 +1,4 @@
-//! x86-TSO: the store-buffer relaxed memory model of Sewell et al. [28],
+//! x86-TSO: the store-buffer relaxed memory model of Sewell et al. \[28\],
 //! the target of the extended framework (§7.3, Fig. 3 of the paper).
 //!
 //! Each hardware thread owns a FIFO *store buffer* (part of the core

@@ -1,4 +1,4 @@
-//! The Treiber stack [30]: a lock-free x86 implementation with benign
+//! The Treiber stack \[30\]: a lock-free x86 implementation with benign
 //! races, and its atomic CImp specification — the paper's example of
 //! generalizing the extended framework beyond locks (§2.4: "πo could be
 //! the Treiber stack implementation, and γo an atomic abstract stack").

@@ -1,11 +1,13 @@
-//! Differential battery for the exploration engines: on generated
-//! toy, Clight, x86-TSO, and x86 (SC/TSO litmus) programs, the
-//! footprint-directed ample reduction, the naive parallel frontier,
-//! and the POR-composed work-stealing engine (ample reduction inside
-//! each worker, under both the fingerprint and the exact visited-set
-//! representations) must agree with the naive exhaustive oracle on
-//! every observable — DRF and NPDRF verdicts, per-thread footprint
-//! unions, and full trace sets.
+//! Differential battery for the exploration engine: on generated toy,
+//! Clight, x86-TSO, and x86 (SC/TSO litmus) programs, the
+//! footprint-directed ample reduction on the work-stealing engine — at
+//! one worker and at three, under both the fingerprint and the exact
+//! visited-set representations — must agree with the naive exhaustive
+//! oracle on every observable: DRF and NPDRF verdicts, per-thread
+//! footprint unions, and full trace sets. Escape-analysis hints are
+//! checked at one and three workers too, and the engine's one-worker
+//! state counts are pinned to those of the sequential engine it
+//! replaced.
 //!
 //! The file ends with two seeded mutants, each caught through both the
 //! DRF check and trace collection: a deliberately overbroad ample
@@ -19,6 +21,9 @@
 //! battery would catch an unsound independence relation or cycle
 //! guard. A last test pins the expansion and trace counts of the fuzz
 //! oracle's TSO trace collection on three stream inputs.
+//!
+//! `Reduction::Off` ignores `threads`: there is one oracle, and it is
+//! sequential.
 
 use ccc_analysis::{ample_hints, LockModel};
 use ccc_clight::ast::{Expr, Function, Stmt};
@@ -27,10 +32,7 @@ use ccc_clight::{ClightLang, ClightModule};
 use ccc_compiler::compile_with_artifacts_mutated;
 use ccc_core::lang::{Lang, Prog};
 use ccc_core::mem::{GlobalEnv, Val};
-use ccc_core::race::{
-    check_drf, check_drf_hinted, check_drf_par, check_npdrf, check_npdrf_par, collect_footprints,
-    collect_footprints_hinted, collect_footprints_par,
-};
+use ccc_core::race::{check_drf, check_npdrf, collect_footprints};
 use ccc_core::refine::{collect_traces_preemptive, ExploreCfg};
 use ccc_core::toy::{toy_globals, toy_module, ToyInstr, ToyLang};
 use ccc_core::world::Loaded;
@@ -53,9 +55,9 @@ fn cfg_with(reduction: Reduction, threads: usize) -> ExploreCfg {
     }
 }
 
-/// Runs all engines on one program and cross-checks every observable.
-/// `traces` additionally compares the full trace sets (viable only when
-/// the interleaving space is small).
+/// Runs the oracle and the engine on one program and cross-checks
+/// every observable. `traces` additionally compares the full trace sets
+/// (viable only when the interleaving space is small).
 fn assert_engines_agree<L>(name: &str, loaded: &Loaded<L>, traces: bool)
 where
     L: Lang + Sync,
@@ -64,67 +66,63 @@ where
 {
     let naive_cfg = cfg_with(Reduction::Off, 1);
     let ample_cfg = cfg_with(Reduction::Ample, 1);
-    let par_cfg = cfg_with(Reduction::Off, 3);
     let ws_cfg = cfg_with(Reduction::Ample, 3);
 
     let naive = check_drf(loaded, &naive_cfg).expect("loads");
-    let ample = check_drf(loaded, &ample_cfg).expect("loads");
-    let par = check_drf_par(loaded, &par_cfg).expect("loads");
     assert!(
-        !naive.truncated && !ample.truncated && !par.truncated,
+        !naive.truncated,
         "{name}: truncated exploration proves nothing"
     );
-    assert_eq!(
-        naive.is_drf(),
-        ample.is_drf(),
-        "{name}: DRF verdict (ample)"
-    );
-    assert_eq!(naive.is_drf(), par.is_drf(), "{name}: DRF verdict (par)");
-
-    // The POR-composed work-stealing engine, under both visited-set
+    // The engine at one worker and at three, under both visited-set
     // representations (fingerprints may only force *more* expansion on
     // collision, never less — the verdict must be identical).
-    for visited in [VisitedMode::Fingerprint, VisitedMode::Exact] {
-        let ws = check_drf_par(loaded, &ExploreCfg { visited, ..ws_cfg }).expect("loads");
-        assert!(!ws.truncated, "{name}: WS exploration truncated");
-        assert_eq!(
-            naive.is_drf(),
-            ws.is_drf(),
-            "{name}: DRF verdict (work-stealing ample, {visited:?})"
-        );
+    for cfg in [&ample_cfg, &ws_cfg] {
+        for visited in [VisitedMode::Fingerprint, VisitedMode::Exact] {
+            let ws = check_drf(
+                loaded,
+                &ExploreCfg {
+                    visited,
+                    ..cfg.clone()
+                },
+            )
+            .expect("loads");
+            assert!(!ws.truncated, "{name}: engine exploration truncated");
+            assert_eq!(
+                naive.is_drf(),
+                ws.is_drf(),
+                "{name}: DRF verdict ({} workers, {visited:?})",
+                cfg.threads
+            );
+        }
     }
 
     let np = check_npdrf(loaded, &naive_cfg).expect("loads");
-    let np_par = check_npdrf_par(loaded, &par_cfg).expect("loads");
-    let np_ws = check_npdrf_par(loaded, &ws_cfg).expect("loads");
-    assert!(
-        !np.truncated && !np_par.truncated && !np_ws.truncated,
-        "{name}: NPDRF truncated"
-    );
-    assert_eq!(np.is_drf(), np_par.is_drf(), "{name}: NPDRF verdict (par)");
-    assert_eq!(
-        np.is_drf(),
-        np_ws.is_drf(),
-        "{name}: NPDRF verdict (work-stealing ample)"
-    );
+    assert!(!np.truncated, "{name}: NPDRF truncated");
+    for cfg in [&ample_cfg, &ws_cfg] {
+        let np_ws = check_npdrf(loaded, cfg).expect("loads");
+        assert!(!np_ws.truncated, "{name}: NPDRF truncated");
+        assert_eq!(
+            np.is_drf(),
+            np_ws.is_drf(),
+            "{name}: NPDRF verdict ({} workers)",
+            cfg.threads
+        );
+    }
 
     let fp_naive = collect_footprints(loaded, &naive_cfg).expect("loads");
-    let fp_ample = collect_footprints(loaded, &ample_cfg).expect("loads");
-    let fp_par = collect_footprints_par(loaded, &par_cfg).expect("loads");
-    let fp_ws = collect_footprints_par(loaded, &ws_cfg).expect("loads");
     assert!(
-        !fp_naive.truncated && !fp_ample.truncated && !fp_par.truncated && !fp_ws.truncated,
+        !fp_naive.truncated,
         "{name}: footprint exploration truncated"
     );
-    assert_eq!(
-        fp_naive.fps, fp_ample.fps,
-        "{name}: footprint unions (ample)"
-    );
-    assert_eq!(fp_naive.fps, fp_par.fps, "{name}: footprint unions (par)");
-    assert_eq!(
-        fp_naive.fps, fp_ws.fps,
-        "{name}: footprint unions (work-stealing ample)"
-    );
+    for cfg in [&ample_cfg, &ws_cfg] {
+        let fp_ws = collect_footprints(loaded, cfg).expect("loads");
+        assert!(!fp_ws.truncated, "{name}: footprint exploration truncated");
+        assert_eq!(
+            fp_naive.fps, fp_ws.fps,
+            "{name}: footprint unions ({} workers)",
+            cfg.threads
+        );
+    }
 
     if traces {
         let ts_naive = collect_traces_preemptive(loaded, &naive_cfg).expect("loads");
@@ -229,15 +227,15 @@ fn litmus_engines_agree_sc_and_tso() {
 // Escape-analysis hints: collapse private globals, survive lies
 // ---------------------------------------------------------------------------
 
-/// Two threads each grinding on their own named global, then reading
-/// the shared `s0` — DRF, but the grinds are invisible to the plain
-/// ample reduction (globals are never in a thread's free list).
-fn private_global_client(depth: usize) -> (Loaded<ClightLang>, AmpleHints) {
+/// `threads` threads each grinding on their own named global, then
+/// reading the shared `s0` — DRF, but the grinds are invisible to the
+/// plain ample reduction (globals are never in a thread's free list).
+fn private_global_client(threads: usize, depth: usize) -> (Loaded<ClightLang>, AmpleHints) {
     let mut ge = GlobalEnv::new();
     ge.define("s0", Val::Int(0));
     let mut funcs = Vec::new();
     let mut entries = Vec::new();
-    for t in 0..2 {
+    for t in 0..threads {
         let p = format!("p{t}");
         ge.define(p.clone(), Val::Int(0));
         let mut body = Vec::new();
@@ -260,28 +258,41 @@ fn private_global_client(depth: usize) -> (Loaded<ClightLang>, AmpleHints) {
     (loaded, hints)
 }
 
+/// `cfg_with(Reduction::Ample, workers)` carrying `hints`.
+fn hinted_cfg(workers: usize, hints: &AmpleHints) -> ExploreCfg {
+    ExploreCfg {
+        hints: hints.clone(),
+        ..cfg_with(Reduction::Ample, workers)
+    }
+}
+
 #[test]
 fn escape_hints_collapse_private_globals_without_changing_observables() {
-    let (loaded, hints) = private_global_client(3);
-    assert!(hints.private.iter().all(|s| s.len() == 1));
-    let naive_cfg = cfg_with(Reduction::Off, 1);
-    let ample_cfg = cfg_with(Reduction::Ample, 1);
-
-    let naive = check_drf(&loaded, &naive_cfg).expect("loads");
-    let ample = check_drf(&loaded, &ample_cfg).expect("loads");
-    let hinted = check_drf_hinted(&loaded, &ample_cfg, &hints).expect("loads");
-    assert!(!naive.truncated && !hinted.truncated);
-    assert!(naive.is_drf() && hinted.is_drf());
-    assert!(
-        hinted.states < ample.states,
-        "hints must collapse the global grinds ({} vs {} states)",
-        hinted.states,
-        ample.states
-    );
-
-    let fp_naive = collect_footprints(&loaded, &naive_cfg).expect("loads");
-    let fp_hinted = collect_footprints_hinted(&loaded, &ample_cfg, &hints).expect("loads");
-    assert_eq!(fp_naive.fps, fp_hinted.fps, "footprint unions (hinted)");
+    // With five threads the hinted graph (821 states) outgrows the
+    // inline burst, so three workers really share it.
+    for (threads, depth) in [(2, 3), (5, 1)] {
+        let (loaded, hints) = private_global_client(threads, depth);
+        assert!(hints.private.iter().all(|s| s.len() == 1));
+        let naive_cfg = cfg_with(Reduction::Off, 1);
+        let naive = check_drf(&loaded, &naive_cfg).expect("loads");
+        let fp_naive = collect_footprints(&loaded, &naive_cfg).expect("loads");
+        assert!(!naive.truncated && naive.is_drf());
+        for workers in [1, 3] {
+            let name = format!("{threads} threads, {workers} workers");
+            let ample = check_drf(&loaded, &cfg_with(Reduction::Ample, workers)).expect("loads");
+            let hinted = check_drf(&loaded, &hinted_cfg(workers, &hints)).expect("loads");
+            assert!(!hinted.truncated && hinted.is_drf(), "{name}");
+            assert!(
+                hinted.states < ample.states,
+                "hints must collapse the global grinds ({name}: {} vs {} states)",
+                hinted.states,
+                ample.states
+            );
+            let fp_hinted =
+                collect_footprints(&loaded, &hinted_cfg(workers, &hints)).expect("loads");
+            assert_eq!(fp_naive.fps, fp_hinted.fps, "footprint unions ({name})");
+        }
+    }
 }
 
 #[test]
@@ -296,9 +307,14 @@ fn lying_hints_trip_the_monitor_and_keep_the_race() {
     let lying = AmpleHints {
         private: vec![[x].into(), [].into()],
     };
-    let hinted = check_drf_hinted(&loaded, &cfg_with(Reduction::Ample, 1), &lying).expect("loads");
-    assert!(!hinted.truncated);
-    assert!(!hinted.is_drf(), "the race must survive lying hints");
+    for workers in [1, 3] {
+        let hinted = check_drf(&loaded, &hinted_cfg(workers, &lying)).expect("loads");
+        assert!(!hinted.truncated);
+        assert!(
+            !hinted.is_drf(),
+            "the race must survive lying hints at {workers} workers"
+        );
+    }
 }
 
 #[test]
@@ -306,17 +322,69 @@ fn non_disjoint_hints_are_dropped() {
     // Both threads claiming the same address violates the engine's
     // precondition; such hints are discarded wholesale, leaving the
     // plain ample reduction.
-    let (loaded, _) = private_global_client(2);
+    let (loaded, _) = private_global_client(2, 2);
     let p0 = loaded.prog.modules[0].ge.lookup("p0").expect("p0 defined");
     let overlapping = AmpleHints {
         private: vec![[p0].into(), [p0].into()],
     };
     assert!(!overlapping.disjoint());
-    let ample_cfg = cfg_with(Reduction::Ample, 1);
-    let plain = check_drf(&loaded, &ample_cfg).expect("loads");
-    let hinted = check_drf_hinted(&loaded, &ample_cfg, &overlapping).expect("loads");
-    assert_eq!(plain.states, hinted.states, "dropped hints change nothing");
-    assert_eq!(plain.is_drf(), hinted.is_drf());
+    for workers in [1, 3] {
+        // The 43 states fit in the inline burst, so even three workers
+        // claim them in one order and the counts are comparable.
+        let plain = check_drf(&loaded, &cfg_with(Reduction::Ample, workers)).expect("loads");
+        let hinted = check_drf(&loaded, &hinted_cfg(workers, &overlapping)).expect("loads");
+        assert_eq!(
+            plain.states, hinted.states,
+            "dropped hints change nothing at {workers} workers"
+        );
+        assert_eq!(plain.is_drf(), hinted.is_drf());
+    }
+}
+
+#[test]
+fn one_worker_state_counts_match_the_sequential_engine() {
+    // Recorded on the sequential `Engine` that the one-worker engine
+    // replaced: `check_drf` and `collect_footprints` states at
+    // `Reduction::Ample`, plain and with escape hints. One worker over
+    // an exact visited set claims states in the same depth-first order
+    // and makes the same ample choices, so the counts must not move.
+    let exact = |hints: &AmpleHints| ExploreCfg {
+        visited: VisitedMode::Exact,
+        ..hinted_cfg(1, hints)
+    };
+    let none = AmpleHints::default();
+    for (depth, plain, hinted) in [(2, 43, 19), (3, 63, 21), (4, 87, 23)] {
+        let (loaded, hints) = private_global_client(2, depth);
+        for (h, want) in [(&none, plain), (&hints, hinted)] {
+            let drf = check_drf(&loaded, &exact(h)).expect("loads");
+            let fp = collect_footprints(&loaded, &exact(h)).expect("loads");
+            assert!(drf.is_drf() && !drf.truncated && !fp.truncated);
+            assert_eq!(
+                (drf.states, fp.states),
+                (want, want),
+                "private_global_client({depth}), {} hints",
+                if h.is_empty() { "no" } else { "escape" }
+            );
+        }
+    }
+    // (seed, racy, check_drf states, DRF, collect_footprints states).
+    for (seed, racy, drf_states, is_drf, fp_states) in [
+        (0, false, 251, true, 251),
+        (0, true, 8, false, 87),
+        (1, false, 251, true, 251),
+        (2, false, 241, true, 241),
+        (2, true, 57, true, 57),
+        (3, true, 8, false, 87),
+    ] {
+        let loaded = clight_loaded(seed, 2, racy);
+        let drf = check_drf(&loaded, &exact(&none)).expect("loads");
+        let fp = collect_footprints(&loaded, &exact(&none)).expect("loads");
+        assert_eq!(
+            (drf.states, drf.is_drf(), fp.states),
+            (drf_states, is_drf, fp_states),
+            "clight_loaded({seed}, 2, {racy})"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -412,20 +480,18 @@ fn skipping_cycle_reexpansion_is_caught_by_the_differential() {
     // the visited set and fall back to full expansion, so the racing
     // threads get scheduled past the spin. `AmpleIgnoreCycles` is the
     // seeded unsoundness — a worker that skips that re-expansion — and
-    // must ample-loop on t0 and report DRF, sequentially and at every
-    // worker count, while every sound engine keeps the race.
+    // must ample-loop on t0 and report DRF at every worker count, while
+    // the sound engine keeps the race.
     let loaded = spin_and_race();
 
     let naive = check_drf(&loaded, &cfg_with(Reduction::Off, 1)).expect("loads");
     assert!(!naive.truncated);
     assert!(!naive.is_drf(), "the oracle must see the write-write race");
 
-    let sound = check_drf(&loaded, &cfg_with(Reduction::Ample, 1)).expect("loads");
-    assert!(!sound.is_drf(), "the sequential cycle guard keeps the race");
     for workers in [1, 3] {
-        let ws = check_drf_par(&loaded, &cfg_with(Reduction::Ample, workers)).expect("loads");
+        let sound = check_drf(&loaded, &cfg_with(Reduction::Ample, workers)).expect("loads");
         assert!(
-            !ws.is_drf(),
+            !sound.is_drf(),
             "the shared visited set keeps the race at {workers} workers"
         );
     }
@@ -437,12 +503,10 @@ fn skipping_cycle_reexpansion_is_caught_by_the_differential() {
          the mutant is no longer a mutant and the battery's sensitivity \
          claim is untested"
     );
-    let mutated_ws =
-        check_drf_par(&loaded, &cfg_with(Reduction::AmpleIgnoreCycles, 3)).expect("loads");
+    let mutated_ws = check_drf(&loaded, &cfg_with(Reduction::AmpleIgnoreCycles, 3)).expect("loads");
     assert!(
         mutated_ws.is_drf(),
-        "a cycle-skipping worker must also miss the race in the \
-         work-stealing engine"
+        "a cycle-skipping worker must also miss the race at 3 workers"
     );
     assert_ne!(
         naive.is_drf(),

@@ -5,7 +5,7 @@
 //!
 //! The load-bearing property is *soundness with zero false negatives*:
 //! a certificate the trusted checker admits as self-stable must
-//! describe a module whose exploration (`check_drf_par`) never finds a
+//! describe a module whose exploration (`check_drf`) never finds a
 //! race, and a scoped certificate must imply the dynamic rely-guarantee
 //! reach-closure check of `ccc_core::rg`. The battery also kills both
 //! seeded-unsoundness mutants — a certifier that drops an action
@@ -26,7 +26,7 @@ use ccc_compiler::driver::id_trans;
 use ccc_compiler::{module_hash, CompileCache, RecheckDepth};
 use ccc_core::lang::Prog;
 use ccc_core::mem::{FreeList, GlobalEnv, Val};
-use ccc_core::race::check_drf_par;
+use ccc_core::race::check_drf;
 use ccc_core::refine::ExploreCfg;
 use ccc_core::rg::check_reach_close;
 use ccc_core::world::Loaded;
@@ -69,7 +69,7 @@ proptest! {
 
     /// The headline soundness property, 64 random programs strong: a
     /// module whose certificate the trusted checker admits as
-    /// self-stable is DRF under the exhaustive `check_drf_par`
+    /// self-stable is DRF under the exhaustive `check_drf`
     /// exploration. `check_rg_vs_exploration` fails on any checker
     /// rejection of a fresh certificate and on any static false
     /// negative; imprecision (static `MayInterfere`, dynamic DRF) is
@@ -191,7 +191,7 @@ fn pair_skipping_link_mutant_is_killed_differentially() {
     ge.define("s", Val::Int(0));
     let entries = vec!["a".to_string(), "b".to_string()];
     let loaded = Loaded::new(Prog::new(ClightLang, vec![(merged, ge)], entries)).expect("links");
-    let drf = check_drf_par(&loaded, &explore_cfg()).expect("explores");
+    let drf = check_drf(&loaded, &explore_cfg()).expect("explores");
     assert!(
         !drf.is_drf(),
         "composition must race — otherwise the mutant survives"
