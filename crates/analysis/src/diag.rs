@@ -1,13 +1,13 @@
-//! Structured diagnostics shared by the per-pass lints ([`crate::lint`])
-//! and the symbolic translation validator ([`crate::transval`]).
+//! Structured diagnostics of the symbolic translation validator
+//! ([`crate::transval`]).
 //!
-//! A [`Diagnostic`] names the pipeline pass (or stage output) it talks
-//! about, the offending function, an optional node/instruction index,
-//! and a human-readable message. The `Display` rendering is the exact
-//! `[pass] function: message` text the lints have always printed, so
-//! consumers that match on the formatted string keep working; the
-//! structured fields are for programmatic consumers (the fuzz oracle,
-//! the mutation scoreboard, the `--validate` flag of `ir_dump`).
+//! A [`Diagnostic`] names the pipeline pass it talks about, the
+//! offending function, an optional node/instruction index, and a
+//! human-readable message. The `Display` rendering is the
+//! `[pass] function: message` text, for consumers that match on the
+//! formatted string; the structured fields are for programmatic
+//! consumers (the fuzz oracle, the mutation scoreboard, the
+//! `--validate` flag of `ir_dump`, `tso_robust::CheckedError`).
 //!
 //! Serialized-witness syntax errors
 //! ([`crate::transval::json::JsonError`]) also route through here via
@@ -18,13 +18,13 @@
 use crate::transval::json::JsonError;
 use std::fmt;
 
-/// One structured finding about a pass output: a lint violation or an
-/// undischarged translation-validation obligation.
+/// One structured finding about a pass output: an undischarged
+/// translation-validation obligation, or a broken serialized witness.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Diagnostic {
-    /// The pipeline pass or stage the finding is about (a
-    /// `CompilationArtifacts::STAGE_NAMES` entry, `"Constprop"`, or a
-    /// validated pass name such as `"Tunneling"`).
+    /// The pipeline pass the finding is about: a validated pass name
+    /// such as `"Tunneling"` (see `ccc_compiler::PASS_NAMES`), or the
+    /// kind of serialized document, such as `"RgCert"`.
     pub pass: String,
     /// The offending function (empty for module-level findings).
     pub function: String,
@@ -90,9 +90,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_matches_legacy_lint_format() {
-        let d = Diagnostic::new("RTL", "f", "node 3: dangling successor 9").at(3);
-        assert_eq!(d.to_string(), "[RTL] f: node 3: dangling successor 9");
+    fn display_is_pass_function_message() {
+        let d = Diagnostic::new("Tailcall", "f", "node 3: dangling successor 9").at(3);
+        assert_eq!(d.to_string(), "[Tailcall] f: node 3: dangling successor 9");
         assert_eq!(d.node, Some(3));
     }
 

@@ -25,10 +25,6 @@
 //!   `ValueRange` claims; the escape results power the ample-set
 //!   reduction of `ccc_core::explore` and sharpen the lockset analysis.
 //!
-//! * **Per-pass IR lint** ([`lint`]): structural well-formedness checks
-//!   for all 12 pipeline stages (plus `Constprop`), catching
-//!   mutation-broken passes at the stage that introduced the breakage.
-//!
 //! * **Symbolic translation validation** ([`transval`]): per-pass
 //!   certificate checking of one compilation's artifacts — matched
 //!   basic blocks are executed symbolically and per-block simulation
@@ -60,7 +56,9 @@ pub mod absint;
 pub mod asm_cfg;
 pub mod clight_fp;
 pub mod diag;
-pub mod lint;
+#[cfg(test)]
+#[path = "malformed_ir_tests.rs"]
+mod lint;
 pub mod lockset;
 pub mod region;
 pub mod rg_cert;
@@ -75,10 +73,6 @@ pub use absint::{
 };
 pub use clight_fp::{infer_clight, infer_clight_with, ClightSummaries};
 pub use diag::Diagnostic;
-pub use lint::{
-    compile_checked, lint_artifacts, lint_asm, lint_clight, lint_cminor, lint_cminorsel,
-    lint_linear, lint_ltl, lint_mach, lint_rtl, CheckedError, LintError, CONSTPROP_STAGE,
-};
 pub use lockset::{
     check_static_race, check_static_race_sharp, infer_lock_model, Access, LockModel, ObjectSummary,
     RacePair, SharpRaceReport, StaticRaceReport, StaticVerdict,
@@ -102,6 +96,6 @@ pub use transval::{
 };
 pub use tso_robust::{
     analyze, compile_with_robustness, eliminate_redundant_fences, insert_fences, AccessRef,
-    CriticalCycle, FenceElimination, FenceInsertion, FencePoint, ReorderablePair, RobustReport,
-    Verdict,
+    CheckedError, CriticalCycle, FenceElimination, FenceInsertion, FencePoint, ReorderablePair,
+    RobustReport, Verdict,
 };

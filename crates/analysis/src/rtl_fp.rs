@@ -111,8 +111,9 @@ fn transfer(state: &RegState, instr: &Instr) -> RegState {
                     }
                 }
                 Op::AddrStack(_) => AbsVal::Ptr(Region::StackLocal),
-                // Guard the argument accesses: arity violations are the
-                // lint's to report, not ours to panic on.
+                // Guard the argument accesses: an arity violation is
+                // translation validation's to reject, not ours to
+                // panic on.
                 Op::Move => args.first().map_or(AbsVal::Bot, |&a| get(state, a)),
                 Op::AddImm(_) => args.first().map_or(AbsVal::Bot, |&a| get(state, a).arith()),
                 Op::Add | Op::Sub => args
@@ -169,7 +170,7 @@ fn reg_states(f: &Function) -> BTreeMap<Node, RegState> {
     let mut work: VecDeque<Node> = VecDeque::from([f.entry]);
     while let Some(n) = work.pop_front() {
         let Some(instr) = f.code.get(&n) else {
-            continue; // dangling node: the lint reports it
+            continue; // dangling node: translation validation rejects it
         };
         let out = transfer(&states[&n], instr);
         for s in instr.succs() {

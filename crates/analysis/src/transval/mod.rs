@@ -255,9 +255,8 @@ impl SimWitness {
         self.obligations.iter().filter(|o| !o.discharged)
     }
 
-    /// Renders the failed obligations as structured [`Diagnostic`]s (the
-    /// same type the IR lints emit), pass-tagged for the fuzz oracle and
-    /// `ir_dump --validate`.
+    /// Renders the failed obligations as structured [`Diagnostic`]s,
+    /// pass-tagged for the fuzz oracle and `ir_dump --validate`.
     pub fn diagnostics(&self) -> Vec<Diagnostic> {
         self.failures()
             .map(|o| {

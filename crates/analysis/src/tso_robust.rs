@@ -53,12 +53,14 @@
 //!   cleanup.
 //!
 //! [`compile_with_robustness`] wires the verdict into the compilation
-//! driver as a post-Asmgen report.
+//! driver as a post-Asmgen report, on artifacts translation validation
+//! has accepted.
 
 use crate::asm_cfg::{thread_cfg, NodeKind, StaticLoc, ThreadCfg, SYNTHETIC};
-use crate::lint::{compile_checked, CheckedError};
+use crate::diag::Diagnostic;
+use crate::transval::validate_artifacts;
 use ccc_clight::ast::ClightModule;
-use ccc_compiler::driver::CompilationArtifacts;
+use ccc_compiler::driver::{compile_with_artifacts, CompilationArtifacts, CompileError};
 use ccc_machine::{AsmModule, Instr};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
@@ -602,19 +604,52 @@ pub fn eliminate_redundant_fences(module: &AsmModule, entries: &[String]) -> Fen
     }
 }
 
-/// Compiles a Clight module through the linted pipeline and runs the
-/// robustness analysis on the final assembly — the post-Asmgen report
-/// of the driver, with `entries` naming the functions that will run as
-/// threads.
+/// The error of [`compile_with_robustness`]: either the pipeline itself
+/// failed, or translation validation rejected one of its passes.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum CheckedError {
+    /// A pass reported failure.
+    Compile(CompileError),
+    /// The pipeline ran, but some passes failed validation: one
+    /// diagnostic per undischarged obligation.
+    Rejected(Vec<Diagnostic>),
+}
+
+impl fmt::Display for CheckedError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CheckedError::Compile(e) => write!(f, "compilation failed: {e:?}"),
+            CheckedError::Rejected(diags) => {
+                writeln!(f, "{} failed obligation(s):", diags.len())?;
+                for d in diags {
+                    writeln!(f, "  {d}")?;
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+impl std::error::Error for CheckedError {}
+
+/// Compiles a Clight module, validates every pass of the compilation,
+/// and runs the robustness analysis on the final assembly — the
+/// post-Asmgen report of the driver, with `entries` naming the
+/// functions that will run as threads.
 ///
 /// # Errors
 ///
-/// Propagates compilation and lint failures.
+/// Propagates compilation failures, and the failed obligations of any
+/// pass translation validation rejects.
 pub fn compile_with_robustness(
     m: &ClightModule,
     entries: &[String],
 ) -> Result<(CompilationArtifacts, RobustReport), CheckedError> {
-    let arts = compile_checked(m)?;
+    let arts = compile_with_artifacts(m).map_err(CheckedError::Compile)?;
+    let witness = validate_artifacts(&arts);
+    if !witness.ok() {
+        return Err(CheckedError::Rejected(witness.diagnostics()));
+    }
     let report = analyze(&arts.asm, entries);
     Ok((arts, report))
 }

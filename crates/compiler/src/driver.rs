@@ -109,27 +109,6 @@ pub struct CompilationArtifacts {
     pub asm: AsmModule,
 }
 
-impl CompilationArtifacts {
-    /// Display names for the programs held in the artifacts, in pipeline
-    /// order. Stage 0 is the source; stage `i > 0` is the output of
-    /// [`PASS_NAMES`]`[i - 1]`. Structural checkers (the `ccc-analysis`
-    /// per-pass lint) iterate these to label per-stage diagnostics.
-    pub const STAGE_NAMES: [&'static str; 12] = [
-        "Clight",
-        "Cminor",
-        "CminorSel",
-        "RTL",
-        "RTL/tailcall",
-        "RTL/renumber",
-        "LTL",
-        "LTL/tunneled",
-        "Linear",
-        "Linear/clean",
-        "Mach",
-        "Asm",
-    ];
-}
-
 /// Runs the whole pipeline, keeping every intermediate program.
 ///
 /// # Errors

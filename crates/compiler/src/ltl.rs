@@ -65,35 +65,6 @@ impl Instr {
         }
     }
 
-    /// Locations read by this instruction (mirror of `rtl::Instr::uses`,
-    /// used by the per-pass lint's def-before-use analysis).
-    pub fn uses(&self) -> Vec<Loc> {
-        match self {
-            Instr::Op(_, args, ..) => args.clone(),
-            Instr::Load(am, ..) => am.base().copied().into_iter().collect(),
-            Instr::Store(am, src, _) => {
-                let mut ls: Vec<Loc> = am.base().copied().into_iter().collect();
-                ls.push(*src);
-                ls
-            }
-            Instr::Call(_, _, args, _) | Instr::Tailcall(_, args) => args.clone(),
-            Instr::Cond(_, l1, l2, ..) => vec![*l1, *l2],
-            Instr::CondImm(_, l, ..) | Instr::Print(l, _) => vec![*l],
-            Instr::Return(l) => l.iter().copied().collect(),
-            Instr::Nop(_) => vec![],
-        }
-    }
-
-    /// The location this instruction defines, if any (mirror of
-    /// `rtl::Instr::def`).
-    pub fn def(&self) -> Option<Loc> {
-        match self {
-            Instr::Op(.., dst, _) | Instr::Load(_, dst, _) => Some(*dst),
-            Instr::Call(dst, ..) => *dst,
-            _ => None,
-        }
-    }
-
     /// Rewrites every successor through `f`.
     pub fn map_succs(&mut self, f: impl Fn(Node) -> Node) {
         match self {

@@ -12,7 +12,10 @@
 //! back), `diff` is the co-execution simulation check of
 //! `ccc_compiler::verif`, and `both` runs the two side by side and
 //! reports any disagreement. Each stage's row shows its verdict(s)
-//! and the wall-clock each checker spent on it.
+//! and the wall-clock each checker spent on it. A run that prints a
+//! rejection — a `REJECTED` verdict, a static/differential
+//! disagreement, or an RG certificate the trusted checker refuses —
+//! exits with status 1.
 
 use ccc_analysis::transval::{backend, frontend, passes as tv, Verdict};
 use ccc_analysis::{infer_clight, infer_rtl, validate_with_mode, SimWitness, Validation};
@@ -203,6 +206,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 );
             }
         }
+        let mut failed = !report.ok();
         if report.disagreements.is_empty() {
             println!(
                 "\nverdict: {}",
@@ -224,6 +228,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let model = ccc_analysis::LockModel::default();
         let cert = ccc_analysis::infer_rg_cert("ir_dump", &m, &entries, &model);
         let admitted = ccc_analysis::rg_cert_violation(&cert, &m, &entries, &model).is_none();
+        failed |= !admitted;
         println!("\nRG certificate (static interference summary):");
         println!(
             "  guarantee: {} action(s)   rely: {} clause(s)   self-stable: {}   scoped: {}",
@@ -250,6 +255,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             },
             if admitted { "admitted" } else { "REJECTED" }
         );
+        if failed {
+            std::process::exit(1);
+        }
     }
     Ok(())
 }

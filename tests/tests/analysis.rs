@@ -11,20 +11,21 @@
 //!   and explore race-free; racy clients get the same verdict from both
 //!   sides, and genuinely racing seeds are flagged.
 //! * **Mutation coverage**: seeding one structural breakage into each
-//!   of the 12 pipeline stage outputs (plus `Constprop`) makes the
-//!   per-pass lint fail with errors attributed to exactly that stage,
-//!   while clean artifacts lint clean.
+//!   of the 12 pipeline stage outputs (plus `Constprop`) makes
+//!   translation validation reject the artifacts, only at the passes
+//!   on either side of the broken stage, while clean artifacts
+//!   validate.
 
-use ccc_analysis::lint::{lint_artifacts, lint_rtl, CONSTPROP_STAGE};
 use ccc_analysis::{
     check_static_race, check_static_race_sharp, infer_clight, infer_clight_with, infer_lock_model,
-    infer_rtl, LockModel, Sharing,
+    infer_rtl, validate_artifacts, LockModel, Sharing,
 };
 use ccc_clight::gen::{gen_concurrent_client, gen_module, GenCfg};
 use ccc_clight::ClightLang;
-use ccc_compiler::constprop::constprop;
-use ccc_compiler::driver::{compile_with_artifacts, CompilationArtifacts};
-use ccc_compiler::ops::{AddrMode, Op};
+use ccc_compiler::driver::{
+    compile_optimized_with_artifacts, compile_with_artifacts, CompilationArtifacts, PASS_NAMES,
+};
+use ccc_compiler::ops::{AddrMode, Cmp, Op};
 use ccc_compiler::rtl::RtlLang;
 use ccc_compiler::{cminorsel, linear, ltl, mach, rtl};
 use ccc_core::mem::GlobalEnv;
@@ -33,7 +34,7 @@ use ccc_core::refine::ExploreCfg;
 use ccc_core::world::run_main_traced;
 use ccc_fuzz::link::load_client;
 use ccc_machine::asm;
-use ccc_machine::Reg;
+use ccc_machine::{Cond, Reg};
 use ccc_sync::lock::lock_spec;
 use proptest::prelude::*;
 
@@ -97,7 +98,7 @@ fn static_footprints_cover_dynamic_per_thread() {
 
 proptest! {
     /// Randomized generator configurations: the soundness contract holds
-    /// on arbitrary corpus shapes, and every clean pipeline lints clean.
+    /// on arbitrary corpus shapes, and every clean pipeline validates.
     #[test]
     fn random_programs_have_sound_footprints(
         seed in 0u64..1_000_000,
@@ -116,7 +117,7 @@ proptest! {
         };
         let (m, ge) = gen_module(seed, &cfg);
         let arts = compile_with_artifacts(&m).expect("compiles");
-        prop_assert!(lint_artifacts(&arts).is_empty(), "clean pipeline flagged");
+        prop_assert!(validate_artifacts(&arts).ok(), "clean pipeline rejected");
         let cs = infer_clight(&m);
         let rs = infer_rtl(&arts.rtl);
         let (_, _, _, cfp) =
@@ -225,52 +226,97 @@ fn sharp_lockset_false_positive_drop_is_confirmed_by_exploration() {
 }
 
 // ---------------------------------------------------------------------
-// Per-pass lint: clean pipelines pass, every seeded breakage is caught
+// Malformed stages: clean pipelines validate, every seeded breakage is
+// rejected by translation validation at a pass adjacent to it
 // ---------------------------------------------------------------------
 
+/// Every clean compilation of the corpus passes translation validation.
 #[test]
 fn clean_corpus_lints_clean() {
     for seed in 0..20u64 {
         let (m, _) = gen_module(seed, &GenCfg::default());
         let arts = compile_with_artifacts(&m).expect("compiles");
-        assert!(lint_artifacts(&arts).is_empty(), "seed {seed} flagged");
+        let w = validate_artifacts(&arts);
+        assert!(w.ok(), "seed {seed} rejected:\n{w}");
     }
     for seed in 0..5u64 {
         for racy in [false, true] {
             let (client, _, _) = gen_concurrent_client(seed, 2, &["s0", "s1"], racy);
             let arts = compile_with_artifacts(&client).expect("compiles");
-            assert!(
-                lint_artifacts(&arts).is_empty(),
-                "client seed {seed} flagged"
-            );
+            let w = validate_artifacts(&arts);
+            assert!(w.ok(), "client seed {seed} rejected:\n{w}");
         }
     }
 }
 
-/// One deliberate breakage per pipeline stage; the lint must reject the
-/// artifacts with every error attributed to exactly the seeded stage.
+/// Asserts that `arts` is rejected, and only by passes in `allowed`.
+fn assert_rejected_within(arts: &CompilationArtifacts, allowed: &[&str], what: &str) {
+    let w = validate_artifacts(arts);
+    let rejected: Vec<&str> = w.rejected().map(|sw| sw.pass.as_str()).collect();
+    assert!(!rejected.is_empty(), "{what}: not rejected");
+    assert!(
+        rejected.iter().all(|p| allowed.contains(p)),
+        "{what}: rejected at {rejected:?}, outside {allowed:?}:\n{w}"
+    );
+}
+
+/// `r7 := r42 + 1; return` — `r42` is never defined.
+fn rtl_use_before_def() -> rtl::Function {
+    rtl::Function {
+        params: vec![],
+        stack_slots: 0,
+        entry: 0,
+        code: [
+            (0, rtl::Instr::Op(Op::AddImm(1), vec![42], 7, 1)),
+            (1, rtl::Instr::Return(None)),
+        ]
+        .into(),
+    }
+}
+
+/// `if (p0 == 0) r5 := 1; print r5` — `r5` is undefined on the else
+/// path.
+fn rtl_one_branch_definition() -> rtl::Function {
+    rtl::Function {
+        params: vec![0],
+        stack_slots: 0,
+        entry: 0,
+        code: [
+            (0, rtl::Instr::CondImm(Cmp::Eq, 0, 0, 1, 2)),
+            (1, rtl::Instr::Op(Op::Const(1), vec![], 5, 2)),
+            (2, rtl::Instr::Print(5, 3)),
+            (3, rtl::Instr::Return(None)),
+        ]
+        .into(),
+    }
+}
+
+/// One structural breakage per row, keyed by the index `i` of the
+/// broken stage (0 is the Clight source, `i > 0` the output of
+/// `PASS_NAMES[i - 1]`). Translation validation must reject every row,
+/// and only at the passes adjacent to stage `i`.
 #[test]
 fn each_stage_mutation_is_caught_and_attributed() {
     let (m, _) = gen_module(7, &GenCfg::default());
     let clean = compile_with_artifacts(&m).expect("compiles");
-    assert!(lint_artifacts(&clean).is_empty(), "baseline not clean");
+    let w = validate_artifacts(&clean);
+    assert!(w.ok(), "baseline rejected:\n{w}");
 
-    type Mutation = (&'static str, Box<dyn Fn(&mut CompilationArtifacts)>);
-    let names = CompilationArtifacts::STAGE_NAMES;
+    type Mutation = (usize, &'static str, Box<dyn Fn(&mut CompilationArtifacts)>);
     let mutations: Vec<Mutation> = vec![
         (
-            // Clight: duplicate addressable local.
-            names[0],
+            0,
+            "duplicate addressable local",
             Box::new(|a| a.clight.funcs.get_mut("f").unwrap().vars.push("v0".into())),
         ),
         (
-            // Cminor: shrink the frame under its AddrStack references.
-            names[1],
+            1,
+            "frame shrunk under its AddrStack references",
             Box::new(|a| a.cminor.funcs.get_mut("f").unwrap().stack_slots = 0),
         ),
         (
-            // CminorSel: operator applied below its arity.
-            names[2],
+            2,
+            "operator applied below its arity",
             Box::new(|a| {
                 let f = a.cminorsel.funcs.get_mut("f").unwrap();
                 let body = std::mem::replace(&mut f.body, cminorsel::Stmt::Skip);
@@ -281,13 +327,22 @@ fn each_stage_mutation_is_caught_and_attributed() {
             }),
         ),
         (
-            // RTL: entry points outside the graph.
-            names[3],
+            3,
+            "entry outside the graph",
             Box::new(|a| a.rtl.funcs.get_mut("f").unwrap().entry = 999_999),
         ),
         (
-            // RTL/tailcall: dangling successor.
-            names[4],
+            3,
+            "dangling successor",
+            Box::new(|a| {
+                let f = a.rtl.funcs.get_mut("f").unwrap();
+                let n = *f.code.keys().next().unwrap();
+                f.code.insert(n, rtl::Instr::Nop(999_999));
+            }),
+        ),
+        (
+            4,
+            "dangling successor",
             Box::new(|a| {
                 let f = a.rtl_tailcall.funcs.get_mut("f").unwrap();
                 let n = *f.code.keys().next().unwrap();
@@ -295,8 +350,17 @@ fn each_stage_mutation_is_caught_and_attributed() {
             }),
         ),
         (
-            // RTL/renumber: use of a never-defined register.
-            names[5],
+            4,
+            "definition on only one branch",
+            Box::new(|a| {
+                a.rtl_tailcall
+                    .funcs
+                    .insert("f".into(), rtl_one_branch_definition());
+            }),
+        ),
+        (
+            5,
+            "use of a never-defined register",
             Box::new(|a| {
                 let f = a.rtl_renumber.funcs.get_mut("f").unwrap();
                 for i in f.code.values_mut() {
@@ -311,8 +375,17 @@ fn each_stage_mutation_is_caught_and_attributed() {
             }),
         ),
         (
-            // LTL: out-of-bounds spill slot.
-            names[6],
+            5,
+            "use before definition",
+            Box::new(|a| {
+                a.rtl_renumber
+                    .funcs
+                    .insert("f".into(), rtl_use_before_def());
+            }),
+        ),
+        (
+            6,
+            "out-of-bounds spill slot",
             Box::new(|a| {
                 let f = a.ltl.funcs.get_mut("f").unwrap();
                 let bad = ltl::Loc::Spill(f.spill_slots + 7);
@@ -328,8 +401,8 @@ fn each_stage_mutation_is_caught_and_attributed() {
             }),
         ),
         (
-            // LTL/tunneled: dangling successor.
-            names[7],
+            7,
+            "dangling successor",
             Box::new(|a| {
                 let f = a.ltl_tunneled.funcs.get_mut("f").unwrap();
                 let entry = f.entry;
@@ -337,20 +410,16 @@ fn each_stage_mutation_is_caught_and_attributed() {
             }),
         ),
         (
-            // Linear: jump to a label that does not exist.
-            names[8],
+            8,
+            "jump to a missing label",
             Box::new(|a| {
-                a.linear
-                    .funcs
-                    .get_mut("f")
-                    .unwrap()
-                    .code
-                    .push(linear::Instr::Goto(31_337));
+                let f = a.linear.funcs.get_mut("f").unwrap();
+                f.code.push(linear::Instr::Goto(31_337));
             }),
         ),
         (
-            // Linear/clean: duplicate label (and a fall-through end).
-            names[9],
+            9,
+            "duplicate label and a fall-through end",
             Box::new(|a| {
                 let f = a.linear_clean.funcs.get_mut("f").unwrap();
                 f.code.push(linear::Instr::Label(77_777));
@@ -358,8 +427,16 @@ fn each_stage_mutation_is_caught_and_attributed() {
             }),
         ),
         (
-            // Mach: frame access beyond the allocated frame.
-            names[10],
+            9,
+            "jump to a missing label",
+            Box::new(|a| {
+                let f = a.linear_clean.funcs.get_mut("f").unwrap();
+                f.code.push(linear::Instr::Goto(31_337));
+            }),
+        ),
+        (
+            10,
+            "frame access beyond the frame",
             Box::new(|a| {
                 let f = a.mach.funcs.get_mut("f").unwrap();
                 let slots = f.frame_slots;
@@ -368,55 +445,50 @@ fn each_stage_mutation_is_caught_and_attributed() {
             }),
         ),
         (
-            // Asm: jump to a label that does not exist.
-            names[11],
+            11,
+            "jump to a missing label",
             Box::new(|a| {
-                a.asm
-                    .funcs
-                    .get_mut("f")
-                    .unwrap()
-                    .code
-                    .insert(0, asm::Instr::Jmp("nowhere".into()));
+                let f = a.asm.funcs.get_mut("f").unwrap();
+                f.code.insert(0, asm::Instr::Jmp("nowhere".into()));
+            }),
+        ),
+        (
+            11,
+            "conditional jump to a missing label and a frame overflow",
+            Box::new(|a| {
+                let f = a.asm.funcs.get_mut("f").unwrap();
+                let slots = f.frame_slots;
+                f.code.insert(0, asm::Instr::Jcc(Cond::E, "nowhere".into()));
+                f.code
+                    .insert(0, asm::Instr::Load(Reg::Eax, asm::MemArg::Stack(slots + 3)));
             }),
         ),
     ];
 
-    for (stage, mutate) in &mutations {
+    for &(i, what, ref mutate) in &mutations {
         let mut arts = clean.clone();
         mutate(&mut arts);
-        let errs = lint_artifacts(&arts);
-        assert!(!errs.is_empty(), "mutation in `{stage}` not caught");
-        assert!(
-            errs.iter().any(|e| e.pass == *stage),
-            "mutation in `{stage}` attributed elsewhere: {errs:?}"
-        );
-        for e in &errs {
-            // Constprop is recomputed from RTL/renumber inside the lint,
-            // so a breakage there legitimately shows up at both stages.
-            let also_constprop = *stage == "RTL/renumber" && e.pass == CONSTPROP_STAGE;
-            assert!(
-                e.pass == *stage || also_constprop,
-                "mutation in `{stage}` misattributed: {e}"
-            );
-        }
+        // The pass that produced stage `i` and the one that consumes it.
+        let last = PASS_NAMES.len() - 1;
+        let allowed = &PASS_NAMES[i.saturating_sub(1)..=i.min(last)];
+        assert_rejected_within(&arts, allowed, &format!("stage {i}: {what}"));
     }
 }
 
+/// Constprop is validated on the artifact the optimizing pipeline
+/// really produced, so a breakage there is rejected by the passes on
+/// either side of it.
 #[test]
 fn constprop_mutation_is_attributed_to_constprop() {
     let (m, _) = gen_module(7, &GenCfg::default());
-    let arts = compile_with_artifacts(&m).expect("compiles");
-    let mut cp = constprop(&arts.rtl_renumber);
-    assert!(
-        lint_rtl(&cp, CONSTPROP_STAGE).is_empty(),
-        "baseline not clean"
-    );
+    let mut arts = compile_optimized_with_artifacts(&m).expect("compiles");
+    let w = validate_artifacts(&arts);
+    assert!(w.ok(), "baseline rejected:\n{w}");
+    let cp = arts.rtl_constprop.as_mut().expect("Constprop ran");
     let f = cp.funcs.get_mut("f").unwrap();
     let n = *f.code.keys().next().unwrap();
     f.code.insert(n, rtl::Instr::Nop(999_999));
-    let errs = lint_rtl(&cp, CONSTPROP_STAGE);
-    assert!(!errs.is_empty(), "Constprop mutation not caught");
-    assert!(errs.iter().all(|e| e.pass == CONSTPROP_STAGE));
+    assert_rejected_within(&arts, &["Constprop", "Allocation"], "Constprop");
 }
 
 // ---------------------------------------------------------------------

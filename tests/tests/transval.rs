@@ -24,15 +24,23 @@ use ccc_analysis::transval::json::{
 use ccc_analysis::transval::passes::validate_rtl_matching;
 use ccc_analysis::transval::{ObligationKind, Verdict};
 use ccc_analysis::{validate_artifacts, validate_id_trans, validate_with_mode, Validation};
-use ccc_compiler::driver::compile_with_artifacts;
+use ccc_clight::ast::{Expr as CExpr, Stmt as CStmt};
+use ccc_clight::gen::{gen_module, GenCfg};
+use ccc_compiler::driver::{compile_with_artifacts, CompilationArtifacts};
+use ccc_compiler::ltl::{self, Loc};
+use ccc_compiler::ops::{AddrMode, Op};
 use ccc_compiler::rtl::{Function as RtlFn, Instr, RtlModule};
+use ccc_compiler::stmt_sem::Stmt as SemStmt;
+use ccc_compiler::{cminor, cminorsel, linear, mach};
 use ccc_compiler::{
     compile_with_artifacts_mutated, id_trans_drop_assert, id_trans_mutated, Mutant,
 };
 use ccc_fuzz::{gen_program, lower, CorpusEntry};
+use ccc_machine::{asm, Reg};
 use ccc_sync::lock::lock_spec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 fn corpus_entries() -> Vec<(PathBuf, CorpusEntry)> {
@@ -366,6 +374,528 @@ fn both_mode_never_disagrees_on_corpus() {
                 report.disagreements
             );
             assert!(report.ok(), "{} ({f}): rejected", path.display());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Structural-corruption sweep: every malformed stage is rejected, next
+// to where it broke, and the validator never panics on it
+// ---------------------------------------------------------------------
+
+/// The rule families of a structural well-formedness check of the IRs;
+/// translation validation must reject a breach of each on its own.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+enum Family {
+    /// A successor or entry node outside the graph.
+    Dangling,
+    /// A read of a register, temporary or location nothing defines.
+    Undefined,
+    /// An operator applied to the wrong number of arguments.
+    Arity,
+    /// A stack, spill or frame slot outside the frame, or a local or
+    /// parameter declared twice.
+    OutOfBounds,
+    /// A jump to a missing label, or a duplicate label.
+    Label,
+    /// Control falling off the end of a body, or an empty body.
+    FallThrough,
+    /// A call passing more arguments than the callee takes.
+    CallArity,
+}
+
+use Family::*;
+
+/// Every stage of the optimizing pipeline (the 12 stages plus
+/// Constprop), the passes on either side of it — the only ones allowed
+/// to reject its corruption — and the families that apply to its IR.
+#[rustfmt::skip]
+const SWEEP: [(&str, &[&str], &[Family]); 13] = [
+    ("Clight", &["Cshmgen/Cminorgen"], &[Undefined, OutOfBounds, CallArity]),
+    ("Cminor", &["Cshmgen/Cminorgen", "Selection"], &[Undefined, OutOfBounds, CallArity]),
+    ("CminorSel", &["Selection", "RTLgen"], &[Undefined, Arity, OutOfBounds, CallArity]),
+    ("RTL", &["RTLgen", "Tailcall"], GRAPH),
+    ("RTL/tailcall", &["Tailcall", "Renumber"], GRAPH),
+    ("RTL/renumber", &["Renumber", "Constprop"], GRAPH),
+    ("Constprop", &["Constprop", "Allocation"], GRAPH),
+    ("LTL", &["Allocation", "Tunneling"], GRAPH),
+    ("LTL/tunneled", &["Tunneling", "Linearize"], GRAPH),
+    ("Linear", &["Linearize", "CleanupLabels"], LINEAR),
+    ("Linear/clean", &["CleanupLabels", "Stacking"], LINEAR),
+    ("Mach", &["Stacking", "Asmgen"], &[Label, FallThrough, Arity, OutOfBounds, CallArity]),
+    ("Asm", &["Asmgen"], &[Label, FallThrough, OutOfBounds, CallArity]),
+];
+const GRAPH: &[Family] = &[Dangling, Undefined, Arity, OutOfBounds, CallArity];
+const LINEAR: &[Family] = &[Label, FallThrough, Undefined, Arity, OutOfBounds, CallArity];
+
+const BAD_NODE: u32 = 999_999;
+const BAD_LABEL: u32 = 31_337;
+const UNDEF_REG: u32 = 4242;
+
+/// Walks corruption sites in a fixed order, trying the corruption on a
+/// copy of each, and commits it at the `k`-th site where it applies and
+/// changes something.
+struct Nth {
+    k: usize,
+    hit: bool,
+}
+
+impl Nth {
+    fn visit<T: Clone + PartialEq>(&mut self, site: &mut T, corrupt: impl Fn(&mut T) -> bool) {
+        if self.hit {
+            return;
+        }
+        let mut probe = site.clone();
+        if corrupt(&mut probe) && probe != *site {
+            if self.k == 0 {
+                *site = probe;
+                self.hit = true;
+            } else {
+                self.k -= 1;
+            }
+        }
+    }
+}
+
+fn set<T>(site: &mut T, v: T) -> bool {
+    *site = v;
+    true
+}
+
+fn dup_first<T: Clone>(v: &mut Vec<T>) -> bool {
+    v.first().cloned().map(|x| v.push(x)).is_some()
+}
+
+/// Drops an operator's last argument, or gives a nullary one an argument.
+fn break_arity<T>(args: &mut Vec<T>, filler: T) -> bool {
+    if args.pop().is_none() {
+        args.push(filler);
+    }
+    true
+}
+
+/// Duplicates the first label of a list-IR body.
+fn dup_label<I: Clone>(code: &mut Vec<I>, is_label: fn(&I) -> bool) -> bool {
+    let p = code.iter().position(is_label);
+    p.map(|p| code.insert(p, code[p].clone())).is_some()
+}
+
+/// The body-level sites of the list IRs: a duplicated label, a dropped
+/// final terminator, an emptied body.
+fn body_sites<I: Clone + PartialEq>(
+    nth: &mut Nth,
+    code: &mut Vec<I>,
+    family: Family,
+    is_label: fn(&I) -> bool,
+) {
+    match family {
+        Label => nth.visit(code, |c| dup_label(c, is_label)),
+        FallThrough => {
+            nth.visit(code, |c| c.pop().is_some());
+            nth.visit(code, |c| set(c, Vec::new()));
+        }
+        _ => {}
+    }
+}
+
+fn sem_stmts<E>(s: &mut SemStmt<E>, f: &mut dyn FnMut(&mut SemStmt<E>)) {
+    f(s);
+    match s {
+        SemStmt::Seq(ss) => ss.iter_mut().for_each(|s| sem_stmts(s, f)),
+        SemStmt::If(_, a, b) => {
+            sem_stmts(a, f);
+            sem_stmts(b, f);
+        }
+        SemStmt::While(_, b) => sem_stmts(b, f),
+        _ => {}
+    }
+}
+
+/// The expressions a Cminor/CminorSel statement evaluates itself.
+fn sem_exprs<E>(s: &mut SemStmt<E>) -> Vec<&mut E> {
+    match s {
+        SemStmt::Set(_, e) | SemStmt::Print(e) | SemStmt::Return(Some(e)) => vec![e],
+        SemStmt::If(e, ..) | SemStmt::While(e, _) => vec![e],
+        SemStmt::Store(a, v) => vec![a, v],
+        SemStmt::Call(_, _, args) => args.iter_mut().collect(),
+        _ => vec![],
+    }
+}
+
+/// A call over-applied by a copy of its first argument.
+fn sem_call_over_arity<E: Clone>(s: &mut SemStmt<E>) -> bool {
+    match s {
+        SemStmt::Call(_, _, args) => dup_first(args),
+        _ => false,
+    }
+}
+
+fn clight_stmts(s: &mut CStmt, f: &mut dyn FnMut(&mut CStmt)) {
+    f(s);
+    match s {
+        CStmt::Seq(ss) => ss.iter_mut().for_each(|s| clight_stmts(s, f)),
+        CStmt::If(_, a, b) => {
+            clight_stmts(a, f);
+            clight_stmts(b, f);
+        }
+        CStmt::While(_, b) => clight_stmts(b, f),
+        _ => {}
+    }
+}
+
+/// The rvalues a Clight statement evaluates itself.
+fn clight_rvalues(s: &mut CStmt) -> Vec<&mut CExpr> {
+    match s {
+        CStmt::Set(_, e) | CStmt::Print(e) | CStmt::Return(Some(e)) | CStmt::Assign(_, e) => {
+            vec![e]
+        }
+        CStmt::If(e, ..) | CStmt::While(e, _) => vec![e],
+        CStmt::Call(_, _, args) => args.iter_mut().collect(),
+        _ => vec![],
+    }
+}
+
+/// The first register an RTL instruction reads.
+fn rtl_read(i: &mut Instr) -> Option<&mut u32> {
+    match i {
+        Instr::Op(_, args, ..) | Instr::Call(_, _, args, _) | Instr::Tailcall(_, args) => {
+            args.first_mut()
+        }
+        Instr::Load(AddrMode::Based(r, _), ..) | Instr::Store(_, r, _) => Some(r),
+        Instr::Cond(_, r, ..) | Instr::CondImm(_, r, ..) | Instr::Print(r, _) => Some(r),
+        Instr::Return(r) => r.as_mut(),
+        _ => None,
+    }
+}
+
+fn rtl_corrupt(i: &mut Instr, family: Family, stack: u64) -> bool {
+    match (family, i) {
+        (Dangling, i) => {
+            i.map_succs(|_| BAD_NODE);
+            true
+        }
+        (Undefined, i) => rtl_read(i).map(|r| *r = UNDEF_REG).is_some(),
+        (Arity, Instr::Op(_, args, ..)) => break_arity(args, 0),
+        (
+            OutOfBounds,
+            Instr::Op(Op::AddrStack(s), ..)
+            | Instr::Load(AddrMode::Stack(s), ..)
+            | Instr::Store(AddrMode::Stack(s), ..),
+        ) => set(s, stack + 3),
+        (CallArity, Instr::Call(_, _, args, _) | Instr::Tailcall(_, args)) => dup_first(args),
+        _ => false,
+    }
+}
+
+/// The first location an LTL instruction reads.
+fn ltl_read(i: &mut ltl::Instr) -> Option<&mut Loc> {
+    use ltl::Instr as L;
+    match i {
+        L::Op(_, args, ..) | L::Call(_, _, args, _) | L::Tailcall(_, args) => args.first_mut(),
+        L::Load(AddrMode::Based(l, _), ..) | L::Store(_, l, _) => Some(l),
+        L::Cond(_, l, ..) | L::CondImm(_, l, ..) | L::Print(l, _) => Some(l),
+        L::Return(l) => l.as_mut(),
+        _ => None,
+    }
+}
+
+/// `spill` is the first slot past the function's spill area; an
+/// `Undefined` read of it is in bounds once the caller grows the area.
+fn ltl_corrupt(i: &mut ltl::Instr, family: Family, stack: u64, spill: u32) -> bool {
+    use ltl::Instr as L;
+    match (family, i) {
+        (Dangling, i) => {
+            i.map_succs(|_| BAD_NODE);
+            true
+        }
+        (Undefined, i) => ltl_read(i).map(|l| *l = Loc::Spill(spill)).is_some(),
+        (Arity, L::Op(_, args, ..)) => break_arity(args, Loc::Spill(0)),
+        (
+            OutOfBounds,
+            L::Op(Op::AddrStack(s), ..)
+            | L::Load(AddrMode::Stack(s), ..)
+            | L::Store(AddrMode::Stack(s), ..),
+        ) => set(s, stack + 3),
+        (OutOfBounds, i) => ltl_read(i).map(|l| *l = Loc::Spill(spill + 7)).is_some(),
+        (CallArity, L::Call(_, _, args, _) | L::Tailcall(_, args)) => dup_first(args),
+        _ => false,
+    }
+}
+
+fn linear_read(i: &mut linear::Instr) -> Option<&mut Loc> {
+    use linear::Instr as L;
+    match i {
+        L::Op(_, args, _) | L::Call(_, _, args) | L::Tailcall(_, args) => args.first_mut(),
+        L::Load(AddrMode::Based(l, _), _) | L::Store(_, l) => Some(l),
+        L::CondJump(_, l, ..) | L::CondImmJump(_, l, ..) | L::Print(l) => Some(l),
+        L::Return(l) => l.as_mut(),
+        _ => None,
+    }
+}
+
+/// As [`ltl_corrupt`], for Linear.
+fn linear_corrupt(i: &mut linear::Instr, family: Family, stack: u64, spill: u32) -> bool {
+    use linear::Instr as L;
+    match (family, i) {
+        (Label, L::CondJump(.., l) | L::CondImmJump(.., l) | L::Goto(l)) => set(l, BAD_LABEL),
+        (Undefined, i) => linear_read(i).map(|l| *l = Loc::Spill(spill)).is_some(),
+        (Arity, L::Op(_, args, _)) => break_arity(args, Loc::Spill(0)),
+        (
+            OutOfBounds,
+            L::Op(Op::AddrStack(s), ..)
+            | L::Load(AddrMode::Stack(s), _)
+            | L::Store(AddrMode::Stack(s), _),
+        ) => set(s, stack + 3),
+        (OutOfBounds, i) => linear_read(i).map(|l| *l = Loc::Spill(spill + 7)).is_some(),
+        (CallArity, L::Call(_, _, args) | L::Tailcall(_, args)) => dup_first(args),
+        _ => false,
+    }
+}
+
+fn mach_corrupt(i: &mut mach::Instr, family: Family, frame: u64) -> bool {
+    use mach::Instr as M;
+    match (family, i) {
+        (Label, M::CondJump(.., l) | M::CondImmJump(.., l) | M::Goto(l)) => set(l, BAD_LABEL),
+        (Arity, M::Op(_, args, _)) => break_arity(args, Reg::Eax),
+        (
+            OutOfBounds,
+            M::Op(Op::AddrStack(s), ..)
+            | M::Load(AddrMode::Stack(s), _)
+            | M::Store(AddrMode::Stack(s), _),
+        ) => set(s, frame + 3),
+        (CallArity, M::Call(_, n) | M::Tailcall(_, n)) => {
+            *n += 1;
+            true
+        }
+        _ => false,
+    }
+}
+
+fn asm_corrupt(i: &mut asm::Instr, family: Family, frame: u64) -> bool {
+    use asm::{Instr as A, MemArg};
+    match (family, i) {
+        (Label, A::Jmp(l) | A::Jcc(_, l)) => set(l, "nowhere".into()),
+        (
+            OutOfBounds,
+            A::Load(_, MemArg::Stack(s))
+            | A::Lea(_, MemArg::Stack(s))
+            | A::Store(MemArg::Stack(s), _)
+            | A::LockCmpxchg(MemArg::Stack(s), _),
+        ) => set(s, frame + 3),
+        (CallArity, A::Call(_, n)) => {
+            *n += 1;
+            true
+        }
+        _ => false,
+    }
+}
+
+/// Applies a `family` corruption to the `k`-th site of stage `stage`
+/// (an index into [`SWEEP`]); false when the stage has no such site.
+/// Sites run over functions in name order, body-level sites before the
+/// instructions of each body.
+fn corrupt(a: &mut CompilationArtifacts, stage: usize, family: Family, k: usize) -> bool {
+    let mut nth = Nth { k, hit: false };
+    match stage {
+        0 => {
+            for f in a.clight.funcs.values_mut() {
+                if family == OutOfBounds {
+                    nth.visit(&mut f.vars, dup_first);
+                    nth.visit(&mut f.params, dup_first);
+                }
+                clight_stmts(&mut f.body, &mut |s| match family {
+                    Undefined => clight_rvalues(s)
+                        .into_iter()
+                        .for_each(|e| nth.visit(e, |e| set(e, CExpr::temp("t_undef")))),
+                    CallArity => nth.visit(s, |s| match s {
+                        CStmt::Call(_, _, args) => dup_first(args),
+                        _ => false,
+                    }),
+                    _ => {}
+                });
+            }
+        }
+        1 => {
+            for f in a.cminor.funcs.values_mut() {
+                if family == OutOfBounds {
+                    nth.visit(&mut f.stack_slots, |s| set(s, 0));
+                }
+                let slots = f.stack_slots;
+                sem_stmts(&mut f.body, &mut |s| match family {
+                    CallArity => nth.visit(s, sem_call_over_arity),
+                    _ => sem_exprs(s).into_iter().for_each(|e| {
+                        nth.visit(e, |e| match (family, e) {
+                            (Undefined, e) => set(e, cminor::Expr::Temp("t_undef".into())),
+                            (OutOfBounds, cminor::Expr::AddrStack(s)) => set(s, slots + 3),
+                            _ => false,
+                        })
+                    }),
+                });
+            }
+        }
+        2 => {
+            for f in a.cminorsel.funcs.values_mut() {
+                let slots = f.stack_slots;
+                sem_stmts(&mut f.body, &mut |s| match family {
+                    CallArity => nth.visit(s, sem_call_over_arity),
+                    _ => sem_exprs(s).into_iter().for_each(|e| {
+                        nth.visit(e, |e| match (family, e) {
+                            (Undefined, e) => set(e, cminorsel::Expr::Temp("t_undef".into())),
+                            (Arity, cminorsel::Expr::Op(_, args)) => {
+                                break_arity(args, cminorsel::Expr::Temp("t0".into()))
+                            }
+                            (
+                                OutOfBounds,
+                                cminorsel::Expr::Op(Op::AddrStack(s), _)
+                                | cminorsel::Expr::Load(AddrMode::Stack(s)),
+                            ) => set(s, slots + 3),
+                            _ => false,
+                        })
+                    }),
+                });
+            }
+        }
+        3..=6 => {
+            let m = match stage {
+                3 => &mut a.rtl,
+                4 => &mut a.rtl_tailcall,
+                5 => &mut a.rtl_renumber,
+                _ => a.rtl_constprop.as_mut().expect("optimizing pipeline"),
+            };
+            for f in m.funcs.values_mut() {
+                if family == Dangling {
+                    nth.visit(&mut f.entry, |e| set(e, BAD_NODE));
+                }
+                let stack = f.stack_slots;
+                f.code
+                    .values_mut()
+                    .for_each(|i| nth.visit(i, |i| rtl_corrupt(i, family, stack)));
+            }
+        }
+        7 | 8 => {
+            let m = if stage == 7 {
+                &mut a.ltl
+            } else {
+                &mut a.ltl_tunneled
+            };
+            for f in m.funcs.values_mut() {
+                let before = nth.hit;
+                if family == Dangling {
+                    nth.visit(&mut f.entry, |e| set(e, BAD_NODE));
+                }
+                let (stack, spill) = (f.stack_slots, f.spill_slots);
+                f.code
+                    .values_mut()
+                    .for_each(|i| nth.visit(i, |i| ltl_corrupt(i, family, stack, spill)));
+                if family == Undefined && nth.hit && !before {
+                    f.spill_slots += 1;
+                }
+            }
+        }
+        9 | 10 => {
+            let m = if stage == 9 {
+                &mut a.linear
+            } else {
+                &mut a.linear_clean
+            };
+            for f in m.funcs.values_mut() {
+                let before = nth.hit;
+                body_sites(&mut nth, &mut f.code, family, |i| {
+                    matches!(i, linear::Instr::Label(_))
+                });
+                let (stack, spill) = (f.stack_slots, f.spill_slots);
+                f.code
+                    .iter_mut()
+                    .for_each(|i| nth.visit(i, |i| linear_corrupt(i, family, stack, spill)));
+                if family == Undefined && nth.hit && !before {
+                    f.spill_slots += 1;
+                }
+            }
+        }
+        11 => {
+            for f in a.mach.funcs.values_mut() {
+                body_sites(&mut nth, &mut f.code, family, |i| {
+                    matches!(i, mach::Instr::Label(_))
+                });
+                let frame = f.frame_slots;
+                f.code
+                    .iter_mut()
+                    .for_each(|i| nth.visit(i, |i| mach_corrupt(i, family, frame)));
+            }
+        }
+        _ => {
+            for f in a.asm.funcs.values_mut() {
+                body_sites(&mut nth, &mut f.code, family, |i| {
+                    matches!(i, asm::Instr::Label(_))
+                });
+                let frame = f.frame_slots;
+                f.code
+                    .iter_mut()
+                    .for_each(|i| nth.visit(i, |i| asm_corrupt(i, family, frame)));
+            }
+        }
+    }
+    nth.hit
+}
+
+/// Deterministic structural corruptions of every stage of the
+/// optimizing pipeline, over generated programs with branches, loops
+/// and calls. Each must be rejected, only by the passes on either side
+/// of the broken stage, and validation must not panic.
+#[test]
+fn structural_corruptions_are_rejected_without_panicking() {
+    const SEEDS: [u64; 2] = [45, 51];
+    const SITES: usize = 3;
+    let cfg = GenCfg {
+        helpers: 2,
+        ..GenCfg::default()
+    };
+    let mut fired = BTreeMap::new();
+    let mut failures = Vec::new();
+    for seed in SEEDS {
+        let (m, _) = gen_module(seed, &cfg);
+        let clean = compile_with_artifacts_mutated(&m, None).expect("compiles");
+        let w = validate_artifacts(&clean);
+        assert!(w.ok(), "seed {seed}: baseline rejected:\n{w}");
+        for (stage, (name, allowed, families)) in SWEEP.iter().enumerate() {
+            for &family in *families {
+                for k in 0..SITES {
+                    let mut arts = clean.clone();
+                    if !corrupt(&mut arts, stage, family, k) {
+                        break;
+                    }
+                    *fired.entry((*name, family)).or_insert(0) += 1;
+                    let case = format!("seed {seed}, {name}, {family:?} site {k}");
+                    match catch_unwind(AssertUnwindSafe(|| validate_artifacts(&arts))) {
+                        Err(_) => failures.push(format!("{case}: validation panicked")),
+                        Ok(w) => {
+                            let rejected: Vec<&str> =
+                                w.rejected().map(|sw| sw.pass.as_str()).collect();
+                            if rejected.is_empty() {
+                                failures.push(format!("{case}: accepted"));
+                            } else if !rejected.iter().all(|p| allowed.contains(p)) {
+                                failures.push(format!("{case}: rejected at {rejected:?}"));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let total: usize = fired.values().sum();
+    assert!(
+        failures.is_empty(),
+        "{} of {total} corruptions mishandled:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+    assert!(total >= 300, "only {total} corruptions ran");
+    for (name, _, families) in SWEEP {
+        for &family in families {
+            assert!(
+                fired.contains_key(&(name, family)),
+                "{name} {family:?}: no program has a site for it"
+            );
         }
     }
 }

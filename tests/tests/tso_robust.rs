@@ -11,8 +11,15 @@
 //! * fence insertion yields a robust program with SC-equal TSO
 //!   behaviour;
 //! * fence redundancy elimination never changes either trace set.
+//!
+//! `compile_with_robustness` reports only on validated compilations: a
+//! malformed source is rejected with the failed obligations.
 
-use ccc_analysis::tso_robust::{analyze, eliminate_redundant_fences, insert_fences};
+use ccc_analysis::tso_robust::{
+    analyze, compile_with_robustness, eliminate_redundant_fences, insert_fences, CheckedError,
+};
+use ccc_clight::ast::{Expr, Function, Stmt};
+use ccc_clight::ClightModule;
 use ccc_core::lang::Prog;
 use ccc_core::mem::{GlobalEnv, Val};
 use ccc_core::refine::{collect_traces, trace_equiv, ExploreCfg, Preemptive, TraceSet};
@@ -270,4 +277,42 @@ proptest! {
             prop_assert!(trace_equiv(&tso_f, &tso_e), "elimination changed TSO traces");
         }
     }
+}
+
+/// Compiles `f` through `compile_with_robustness`, which must reject it
+/// with a failed `kind` obligation at `pass`.
+fn assert_rejected_at(f: Function, pass: &str, kind: &str) {
+    let m = ClightModule::new([("t0", f)]);
+    match compile_with_robustness(&m, &["t0".to_string()]) {
+        Err(CheckedError::Rejected(diags)) => assert!(
+            diags
+                .iter()
+                .any(|d| d.pass == pass && d.message.starts_with(&format!("{kind} obligation"))),
+            "no {kind} obligation failed at {pass}: {diags:?}"
+        ),
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+}
+
+#[test]
+fn duplicate_local_is_rejected_by_frame_cover() {
+    let f = Function {
+        params: vec![],
+        vars: vec!["v".into(), "v".into()],
+        body: Stmt::seq([
+            Stmt::Assign(Expr::var("v"), Expr::Const(1)),
+            Stmt::Return(Some(Expr::var("v"))),
+        ]),
+    };
+    assert_rejected_at(f, "Cshmgen/Cminorgen", "FrameCover");
+}
+
+#[test]
+fn duplicate_parameter_is_rejected_by_param_map() {
+    let f = Function {
+        params: vec!["x".into(), "x".into()],
+        vars: vec![],
+        body: Stmt::Return(Some(Expr::temp("x"))),
+    };
+    assert_rejected_at(f, "Allocation", "ParamMap");
 }
