@@ -29,7 +29,11 @@
 //! engine must beat the exhaustive oracle on wall-clock on every row and
 //! stay within 10x of the one-worker ample state count at every worker
 //! count (the reduction composes with the parallel frontier instead of
-//! being lost to it); the run aborts otherwise.
+//! being lost to it). On the corpus rows, `check_npdrf` on the engine
+//! (interned non-preemptive worlds, memoised per-`(thread, memory, 𝕕)`
+//! predictions) must never lose to the oracle on wall-clock, and on
+//! race-free rows must visit exactly the oracle's states. The run
+//! aborts otherwise.
 //!
 //! After each naive measurement the heap's free pages go back to the
 //! kernel, untimed, so the next timed run does not pay for the oracle's
@@ -374,6 +378,14 @@ where
             np_par.is_drf(),
             "{name}: parallel frontier changed the NPDRF verdict"
         );
+        // The non-preemptive graph has no reduction: a race-free run
+        // (explored to exhaustion) visits exactly the oracle's worlds.
+        if np_ser.is_drf() {
+            assert_eq!(
+                np_par.states, np_ser.states,
+                "{name}: NPDRF engine and oracle visited different worlds"
+            );
+        }
         (
             Run {
                 states: np_ser.states,
@@ -656,6 +668,21 @@ fn main() {
         }
     }
     println!("parallel frontier: never slower than naive, state counts within 10x of ample");
+
+    // NPDRF gate: the memoised engine never loses to the oracle on
+    // wall-clock, with the slack of the DRF gate above.
+    for r in &rows {
+        if let Some((ser, par)) = &r.npdrf {
+            assert!(
+                par.ms <= ser.ms * 1.05 + 0.25,
+                "{}: check_npdrf engine lost to the oracle ({:.2}ms vs {:.2}ms)",
+                r.name,
+                par.ms,
+                ser.ms
+            );
+        }
+    }
+    println!("NPDRF engine: oracle's state count on race-free rows, never slower than the oracle");
 
     println!("all verdicts, footprint unions, and trace sets identical across engines");
 

@@ -17,7 +17,11 @@
 //!    engine: the DRF and footprint checkers run it on the frontier
 //!    below, and trace collection
 //!    ([`collect_traces_preemptive`](crate::refine::collect_traces_preemptive))
-//!    runs it single-threaded.
+//!    runs it single-threaded. NPDRF runs it on the frontier too, over
+//!    interned non-preemptive worlds ([`INpWorld`],
+//!    [`ParEngine::np_successors_into`]) and without a reduction. Both
+//!    race checkers memoise their predictions per interned
+//!    `(thread, memory, 𝕕)` triple ([`ParEngine::memoised`]).
 //!
 //! 2. **Footprint-directed partial-order reduction**
 //!    ([`Reduction::Ample`]): the paper's own instrumented footprints
@@ -63,6 +67,7 @@
 use crate::footprint::Footprint;
 use crate::lang::{Event, Lang, StepMsg};
 use crate::mem::{Addr, Memory};
+use crate::npworld::NpWorld;
 use crate::refine::{Semantics, SuccStep};
 use crate::world::{GLabel, LoadError, Loaded, ThreadId, ThreadState, ThreadStep, World};
 use std::collections::BTreeSet;
@@ -362,6 +367,21 @@ pub enum IStep {
     Abort,
 }
 
+/// An interned non-preemptive world: the same data as [`NpWorld`], with
+/// the thread states and the memory replaced by the ids of the same
+/// pools [`IWorld`] uses.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct INpWorld {
+    /// Pool id of each thread's state (index = thread id).
+    pub threads: Vec<u32>,
+    /// The current thread `t`.
+    pub cur: ThreadId,
+    /// The atomic-bit map `𝕕`.
+    pub dbits: Vec<bool>,
+    /// Pool id of the shared memory.
+    pub mem: u32,
+}
+
 // ---------------------------------------------------------------------------
 // Compact visited sets
 // ---------------------------------------------------------------------------
@@ -370,6 +390,14 @@ pub enum IStep {
 /// by the low bits of the state hash).
 const VISITED_SHARDS: usize = 64;
 const SHARD_BITS: u32 = 6;
+/// Pool ids stay below `2^ID_BITS`, so a packed `(thread, memory)` memo
+/// key keeps its top bit free for a flag (see [`ParEngine::memoised`]).
+const ID_BITS: u32 = 31;
+
+/// The memo key of interned pair `(tid, mid)` with a one-bit `flag`.
+fn memo_key(tid: u32, mid: u32, flag: bool) -> u64 {
+    (u64::from(flag) << 63) | (u64::from(tid) << 32) | u64::from(mid)
+}
 
 /// How a [`VisitedSet`] stores membership.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -575,7 +603,7 @@ impl<T: Eq + Hash> SharedPool<T> {
     pub fn intern(&self, value: T) -> u32 {
         let shard = (fx_hash_of(&value) as usize) & (VISITED_SHARDS - 1);
         let local = self.shards[shard].lock().expect("pool shard").intern(value);
-        assert!(local < (1 << (32 - SHARD_BITS)), "interner overflow");
+        assert!(local < (1 << (ID_BITS - SHARD_BITS)), "interner overflow");
         (local << SHARD_BITS) | shard as u32
     }
 
@@ -598,9 +626,9 @@ impl<T: Eq + Hash> SharedPool<T> {
 }
 
 /// A sharded insert-once memo cache keyed by `u64` (the parallel
-/// engine's packed `(thread id, memory id)` keys). The first writer of a
-/// key wins; later writers get the stored value back, so all workers
-/// agree on one memoized result per key.
+/// engine's packed `(thread id, memory id, flag)` keys). The first
+/// writer of a key wins; later writers get the stored value back, so
+/// all workers agree on one memoized result per key.
 pub struct ShardedCache<V> {
     shards: Vec<Mutex<FxHashMap<u64, V>>>,
 }
@@ -914,6 +942,8 @@ enum RawKind {
     Ev(Event),
     EntAtom,
     ExtAtom,
+    /// The thread terminated (a silent step to empty frames).
+    Term,
 }
 
 /// One memoized local successor of an interned `(thread, memory)` pair.
@@ -949,18 +979,26 @@ struct ExpandEntry {
 
 /// The interning + partial-order-reducing exploration engine over the
 /// preemptive semantics (fused-switch variant, like
-/// [`Loaded::step_preemptive_sched`]): hash-consing pools and the
-/// footprint-directed ample reduction, shared by every worker of an
-/// exploration (`&ParEngine` is `Sync`). One worker is the sequential
-/// case.
+/// [`Loaded::step_preemptive_sched`]) and, unreduced, the
+/// non-preemptive one (like [`Loaded::step_np`]): hash-consing pools
+/// and the footprint-directed ample reduction, shared by every worker
+/// of an exploration (`&ParEngine` is `Sync`). One worker is the
+/// sequential case.
 ///
 /// - **Memoized expansion.** A thread's local steps depend only on its
-///   own state and the memory, both interned — so expansion (and, in
-///   [`crate::race`], race prediction) is cached per `(tid, mid)` pair in
-///   a [`ShardedCache`]. Each distinct `(tid, mid)` pair runs the
-///   interpreter once, however many worlds share it, which on
-///   cache-friendly graphs (many worlds sharing thread/memory
-///   components) is the dominant saving.
+///   own state and the memory, both interned — so expansion is cached
+///   per `(tid, mid)` pair in a [`ShardedCache`], and race prediction
+///   ([`crate::race`]) per `(tid, mid, 𝕕)` triple through
+///   [`ParEngine::memoised`] (the `𝕕` bit tags NPDRF's predictions; DRF
+///   passes 0). Each distinct key runs the interpreter once, however
+///   many worlds share it, which on cache-friendly graphs (many worlds
+///   sharing thread/memory components) is the dominant saving.
+///
+/// - **Users.** DRF and footprint collection step interned preemptive
+///   worlds ([`ParEngine::successors_into`]); NPDRF steps interned
+///   non-preemptive worlds ([`ParEngine::np_successors_into`]) over the
+///   same pools and expansion memo; trace collection runs the
+///   preemptive engine single-threaded.
 ///
 /// - **A cross-worker "ignoring" guard.** The engine refuses an ample
 ///   set whose successor was already claimed for expansion, so every
@@ -1044,16 +1082,6 @@ impl<'a, L: Lang> ParEngine<'a, L> {
         }
     }
 
-    /// The interned thread state behind `id`.
-    pub fn thread(&self, id: u32) -> Arc<ThreadState<L>> {
-        self.threads.get(id)
-    }
-
-    /// The interned memory behind `id`.
-    pub fn memory(&self, id: u32) -> Arc<Memory> {
-        self.mems.get(id)
-    }
-
     /// False if some explored step's footprint escaped its thread's own
     /// free-list region ∪ the global region, or touched an address the
     /// [`AmpleHints`] claim private to a *different* thread. The
@@ -1072,7 +1100,7 @@ impl<'a, L: Lang> ParEngine<'a, L> {
 
     /// The memoized local expansion of interned pair `(tid, mid)`.
     fn entry(&self, tid: u32, mid: u32) -> Arc<ExpandEntry> {
-        let key = (u64::from(tid) << 32) | u64::from(mid);
+        let key = memo_key(tid, mid, false);
         if let Some(e) = self.expand.get(key) {
             return e;
         }
@@ -1129,7 +1157,7 @@ impl<'a, L: Lang> ParEngine<'a, L> {
                         flist: thread.flist,
                     });
                     succs.push(RawSucc {
-                        kind: RawKind::Tau,
+                        kind: RawKind::Term,
                         fp: Footprint::emp(),
                         tid: stid,
                         mid,
@@ -1159,7 +1187,7 @@ impl<'a, L: Lang> ParEngine<'a, L> {
         }
         for rs in &entry.succs {
             let (label, atom) = match rs.kind {
-                RawKind::Tau => (GLabel::Tau, w.atom),
+                RawKind::Tau | RawKind::Term => (GLabel::Tau, w.atom),
                 RawKind::Ev(e) => (GLabel::Ev(e), w.atom),
                 RawKind::EntAtom => {
                     if w.atom {
@@ -1234,6 +1262,90 @@ impl<'a, L: Lang> ParEngine<'a, L> {
     /// True if every thread of `w` has terminated.
     pub fn is_done(&self, w: &IWorld) -> bool {
         w.threads.iter().all(|&t| self.threads.get(t).is_done())
+    }
+
+    /// `f` of interned thread `tid` and memory `mid`, memoised in `cache`
+    /// per `(tid, mid, flag)`: each distinct triple runs `f` once across
+    /// all workers. `f` must be a pure function of the thread state, the
+    /// memory and `flag` — the race checkers memoise their predictors
+    /// here, with the thread's `𝕕` bit as the flag.
+    pub fn memoised<V: Clone>(
+        &self,
+        cache: &ShardedCache<V>,
+        tid: u32,
+        mid: u32,
+        flag: bool,
+        f: impl FnOnce(&ThreadState<L>, &Memory) -> V,
+    ) -> V {
+        let key = memo_key(tid, mid, flag);
+        if let Some(v) = cache.get(key) {
+            return v;
+        }
+        cache.insert(key, f(&self.threads.get(tid), &self.mems.get(mid)))
+    }
+
+    /// Interns a non-preemptive world.
+    pub fn intern_np_world(&self, w: NpWorld<L>) -> INpWorld {
+        INpWorld {
+            threads: w
+                .threads
+                .into_iter()
+                .map(|t| self.threads.intern(t))
+                .collect(),
+            cur: w.cur,
+            dbits: w.dbits,
+            mem: self.mems.intern(w.mem),
+        }
+    }
+
+    /// Appends the successors of `w` under the non-preemptive semantics
+    /// to `out`: the rules of [`Loaded::step_np`] over the memoised
+    /// expansion of the current thread, with aborting steps dropped. The
+    /// engine's reduction does not apply.
+    pub fn np_successors_into(&self, w: &INpWorld, out: &mut Vec<INpWorld>) {
+        let cur = w.cur;
+        let entry = self.entry(w.threads[cur], w.mem);
+        if entry.done {
+            // Only an initial choice leaves a done thread current.
+            self.np_switch(w, out);
+            return;
+        }
+        for rs in &entry.succs {
+            let mut next = w.clone();
+            next.threads[cur] = rs.tid;
+            next.mem = rs.mid;
+            match rs.kind {
+                RawKind::Tau | RawKind::Ev(_) => out.push(next),
+                RawKind::EntAtom | RawKind::ExtAtom => {
+                    let entering = matches!(rs.kind, RawKind::EntAtom);
+                    // A nested entry or a stray exit aborts.
+                    if w.dbits[cur] != entering {
+                        next.dbits[cur] = entering;
+                        self.np_switch(&next, out);
+                    }
+                }
+                RawKind::Term => {
+                    let before = out.len();
+                    self.np_switch(&next, out);
+                    if out.len() == before {
+                        out.push(next); // every thread is done
+                    }
+                }
+            }
+        }
+    }
+
+    /// Switches from `w` to each of its live threads (possibly the
+    /// current one).
+    fn np_switch(&self, w: &INpWorld, out: &mut Vec<INpWorld>) {
+        for (t, &tid) in w.threads.iter().enumerate() {
+            if !self.threads.get(tid).is_done() {
+                out.push(INpWorld {
+                    cur: t,
+                    ..w.clone()
+                });
+            }
+        }
     }
 }
 

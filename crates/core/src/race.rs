@@ -12,7 +12,8 @@
 //! exhaustive checking on bounded programs.
 
 use crate::explore::{
-    ws_explore_until, FxHashSet, IStep, ParEngine, Reduction, ShardedCache, VisitedSet,
+    ws_explore_until, AmpleHints, FxHashSet, INpWorld, IStep, ParEngine, Reduction, ShardedCache,
+    VisitedSet,
 };
 use crate::footprint::{AtomicBit, Footprint, TaggedFootprint};
 use crate::lang::{Lang, StepMsg};
@@ -21,6 +22,9 @@ use crate::npworld::{NpStep, NpWorld};
 use crate::refine::ExploreCfg;
 use crate::world::{GStep, LoadError, Loaded, ThreadId, ThreadState, ThreadStep};
 use std::sync::Arc;
+
+/// Predictions memoised per interned `(thread, memory, 𝕕)` triple.
+type PredCache = ShardedCache<Arc<[TaggedFootprint]>>;
 
 /// A witness that two threads race.
 ///
@@ -187,16 +191,13 @@ fn accumulate_block<L: Lang>(
     results
 }
 
-fn find_conflict(preds: &[Vec<TaggedFootprint>]) -> Option<RaceWitness> {
-    let slices: Vec<&[TaggedFootprint]> = preds.iter().map(Vec::as_slice).collect();
-    find_conflict_in(&slices)
-}
-
-fn find_conflict_in(preds: &[&[TaggedFootprint]]) -> Option<RaceWitness> {
+/// The first pair of threads whose predictions conflict (the `Race`
+/// rule), over owned or memoised per-thread predictions.
+fn find_conflict<P: AsRef<[TaggedFootprint]>>(preds: &[P]) -> Option<RaceWitness> {
     for (t1, p1) in preds.iter().enumerate() {
         for (t2, p2) in preds.iter().enumerate().skip(t1 + 1) {
-            for fp1 in *p1 {
-                for fp2 in *p2 {
+            for fp1 in p1.as_ref() {
+                for fp2 in p2.as_ref() {
                     if fp1.conflicts(fp2) {
                         return Some(RaceWitness {
                             t1,
@@ -264,37 +265,36 @@ where
     let eng = ParEngine::new(loaded, cfg.reduction, &cfg.hints);
     let init = eng.load()?;
     let visited = VisitedSet::new(cfg.visited);
-    let pred_cache: ShardedCache<Arc<Vec<TaggedFootprint>>> = ShardedCache::new();
+    let pred_cache = PredCache::new();
     let (eng_ref, cache_ref, visited_ref) = (&eng, &pred_cache, &visited);
-    let out =
-        ws_explore_until(
-            &visited,
-            vec![init],
-            cfg.threads,
-            cfg.max_states,
-            |_wid| {
-                let mut steps: Vec<IStep> = Vec::new();
-                let mut preds: Vec<Arc<Vec<TaggedFootprint>>> = Vec::new();
-                move |w, acc: &mut Option<RaceWitness>, buf| {
-                    if !w.atom {
-                        preds.clear();
-                        preds.extend(w.threads.iter().map(|&tid| {
-                            predict_interned(loaded, eng_ref, cache_ref, tid, w.mem, cfg)
-                        }));
-                        let slices: Vec<&[TaggedFootprint]> =
-                            preds.iter().map(|p| p.as_slice()).collect();
-                        merge_witness(acc, find_conflict_in(&slices));
-                    }
-                    eng_ref.successors_into(w, visited_ref, &mut steps);
-                    buf.extend(steps.drain(..).filter_map(|s| match s {
-                        IStep::Next { world, .. } => Some(world),
-                        IStep::Abort => None,
+    let out = ws_explore_until(
+        &visited,
+        vec![init],
+        cfg.threads,
+        cfg.max_states,
+        |_wid| {
+            let mut steps: Vec<IStep> = Vec::new();
+            let mut preds = Vec::new();
+            move |w, acc: &mut Option<RaceWitness>, buf| {
+                if !w.atom {
+                    preds.clear();
+                    preds.extend(w.threads.iter().map(|&tid| {
+                        eng_ref.memoised(cache_ref, tid, w.mem, false, |t, m| {
+                            predict(loaded, t, m, cfg).into()
+                        })
                     }));
+                    merge_witness(acc, find_conflict(&preds));
                 }
-            },
-            merge_witness,
-            |acc| acc.is_some(),
-        );
+                eng_ref.successors_into(w, visited_ref, &mut steps);
+                buf.extend(steps.drain(..).filter_map(|s| match s {
+                    IStep::Next { world, .. } => Some(world),
+                    IStep::Abort => None,
+                }));
+            }
+        },
+        merge_witness,
+        |acc| acc.is_some(),
+    );
     if out.acc.is_none() && !eng.scoping_ok() {
         return check_drf_naive(loaded, cfg);
     }
@@ -357,36 +357,7 @@ fn check_drf_naive<L: Lang>(loaded: &Loaded<L>, cfg: &ExploreCfg) -> Result<DrfR
 /// Merges two optional race witnesses, keeping the minimum (a
 /// commutative, associative monoid — the parallel merge step).
 fn merge_witness(total: &mut Option<RaceWitness>, other: Option<RaceWitness>) {
-    match (total.as_ref(), other) {
-        (_, None) => {}
-        (None, Some(w)) => *total = Some(w),
-        (Some(t), Some(w)) => {
-            if w < *t {
-                *total = Some(w);
-            }
-        }
-    }
-}
-
-/// The per-`(thread, memory)` memoized prediction: the engine interns
-/// both components, and [`predict`] is a pure function of them (plus
-/// the fixed `atomic_fuel`), so each distinct pair runs the prediction
-/// interpreter once across all workers.
-fn predict_interned<L: Lang>(
-    loaded: &Loaded<L>,
-    eng: &ParEngine<'_, L>,
-    cache: &ShardedCache<Arc<Vec<TaggedFootprint>>>,
-    tid: u32,
-    mid: u32,
-    cfg: &ExploreCfg,
-) -> Arc<Vec<TaggedFootprint>> {
-    let key = (u64::from(tid) << 32) | u64::from(mid);
-    if let Some(v) = cache.get(key) {
-        return v;
-    }
-    let thread = eng.thread(tid);
-    let mem = eng.memory(mid);
-    cache.insert(key, Arc::new(predict(loaded, &thread, &mem, cfg)))
+    *total = total.take().into_iter().chain(other).min();
 }
 
 /// The per-thread dynamic footprint unions of [`collect_footprints`].
@@ -529,12 +500,16 @@ fn merge_fps(total: &mut Vec<Footprint>, part: Vec<Footprint>) {
 /// `τ*` suffix of their pending block as an atomic prediction.
 ///
 /// [`Reduction::Off`] runs the exhaustive sequential oracle; any other
-/// `cfg.reduction` runs the work-stealing frontier with `cfg.threads`
-/// workers over a `cfg.visited` visited set. The non-preemptive graph
-/// is already interleaving-minimal (switch points only at atomic
-/// boundaries and termination), so no reduction applies on either
-/// path. Exits at the first race found, with the same caveats as
-/// [`check_drf`].
+/// `cfg.reduction` runs the engine: interned worlds
+/// ([`ParEngine::intern_np_world`]) stepped over the memoised
+/// per-`(thread, memory)` expansions ([`ParEngine::np_successors_into`])
+/// on the work-stealing frontier, with `cfg.threads` workers over a
+/// `cfg.visited` visited set, and [`predict_np`] memoised per interned
+/// `(thread, memory, 𝕕)` triple. The non-preemptive graph is already
+/// interleaving-minimal (switch points only at atomic boundaries and
+/// termination), so the engine visits exactly the oracle's worlds:
+/// neither `cfg.reduction` nor `cfg.hints` applies. Exits at the first
+/// race found, with the same caveats as [`check_drf`].
 ///
 /// # Errors
 ///
@@ -545,31 +520,34 @@ where
     L::Module: Sync,
     L::Core: Send + Sync,
 {
-    let mut initials = Vec::new();
-    for t in 0..loaded.prog.entries.len() {
-        initials.push(loaded.np_load_with_first(t)?);
-    }
+    let initials = (0..loaded.prog.entries.len())
+        .map(|t| loaded.np_load_with_first(t))
+        .collect::<Result<Vec<_>, _>>()?;
     if cfg.reduction == Reduction::Off {
         return Ok(check_npdrf_naive(loaded, initials, cfg));
     }
+    let eng = ParEngine::new(loaded, Reduction::Off, &AmpleHints::default());
+    let pred_cache = PredCache::new();
+    let (eng_ref, cache_ref) = (&eng, &pred_cache);
     let out = ws_explore_until(
         &VisitedSet::new(cfg.visited),
-        initials,
+        initials
+            .into_iter()
+            .map(|w| eng.intern_np_world(w))
+            .collect(),
         cfg.threads,
         cfg.max_states,
         |_wid| {
-            |w: &NpWorld<L>, acc: &mut Option<RaceWitness>, buf: &mut Vec<NpWorld<L>>| {
-                let preds: Vec<_> = w
-                    .threads
-                    .iter()
-                    .enumerate()
-                    .map(|(t, ts)| predict_np(loaded, ts, &w.mem, w.dbits[t], cfg))
-                    .collect();
-                merge_witness(acc, find_conflict(&preds));
-                buf.extend(loaded.step_np(w).into_iter().filter_map(|s| match s {
-                    NpStep::Next { world, .. } => Some(world),
-                    NpStep::Abort => None,
+            let mut preds = Vec::new();
+            move |w: &INpWorld, acc: &mut Option<RaceWitness>, buf: &mut Vec<INpWorld>| {
+                preds.clear();
+                preds.extend(w.threads.iter().zip(&w.dbits).map(|(&tid, &d)| {
+                    eng_ref.memoised(cache_ref, tid, w.mem, d, |t, m| {
+                        predict_np(loaded, t, m, d, cfg).into()
+                    })
                 }));
+                merge_witness(acc, find_conflict(&preds));
+                eng_ref.np_successors_into(w, buf);
             }
         },
         merge_witness,
@@ -634,8 +612,18 @@ fn check_npdrf_naive<L: Lang>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::VisitedMode;
     use crate::lang::Prog;
     use crate::toy::{toy_globals, toy_module, ToyInstr, ToyLang};
+    use ToyInstr::{Add, Bnz, Const, EntAtom, ExtAtom, Jmp, Ret};
+
+    fn ld(global: &str) -> ToyInstr {
+        ToyInstr::LoadG(global.into())
+    }
+
+    fn st(global: &str) -> ToyInstr {
+        ToyInstr::StoreG(global.into())
+    }
 
     fn loaded(
         funcs: &[(&str, Vec<ToyInstr>)],
@@ -651,106 +639,117 @@ mod tests {
         .expect("link")
     }
 
+    /// The oracle's `(DRF, NPDRF)` verdicts, after checking that the
+    /// engine gives the same ones at 1 and 2 workers, and on a race-free
+    /// program the same NPDRF state count.
+    fn verdicts(l: &Loaded<ToyLang>) -> (bool, bool) {
+        let oracle = ExploreCfg::default();
+        let drf = check_drf(l, &oracle).expect("drf").is_drf();
+        let np = check_npdrf(l, &oracle).expect("npdrf");
+        for threads in [1, 2] {
+            let cfg = ExploreCfg {
+                reduction: Reduction::Ample,
+                threads,
+                visited: VisitedMode::Exact,
+                ..oracle.clone()
+            };
+            assert_eq!(check_drf(l, &cfg).expect("drf").is_drf(), drf, "{threads}");
+            let e = check_npdrf(l, &cfg).expect("npdrf");
+            assert_eq!(e.is_drf(), np.is_drf(), "NPDRF at {threads} workers");
+            assert!(!np.is_drf() || e.states == np.states, "{threads} workers");
+        }
+        (drf, np.is_drf())
+    }
+
+    /// Threads `a` and `b` both running `body`, over a global `x = 0`.
+    fn twins(body: Vec<ToyInstr>) -> Loaded<ToyLang> {
+        let funcs = [("a", body.clone()), ("b", body)];
+        loaded(&funcs, &[("x", 0)], &["a", "b"])
+    }
+
     fn unsync_writers() -> Loaded<ToyLang> {
-        let body = vec![
-            ToyInstr::Const(1),
-            ToyInstr::StoreG("x".into()),
-            ToyInstr::Ret(0),
-        ];
-        loaded(
-            &[("a", body.clone()), ("b", body)],
-            &[("x", 0)],
-            &["a", "b"],
-        )
+        twins(vec![Const(1), st("x"), Ret(0)])
     }
 
     fn atomic_writers() -> Loaded<ToyLang> {
-        let body = vec![
-            ToyInstr::EntAtom,
-            ToyInstr::LoadG("x".into()),
-            ToyInstr::Add(1),
-            ToyInstr::StoreG("x".into()),
-            ToyInstr::ExtAtom,
-            ToyInstr::Ret(0),
-        ];
-        loaded(
-            &[("a", body.clone()), ("b", body)],
-            &[("x", 0)],
-            &["a", "b"],
-        )
+        let body = vec![EntAtom, ld("x"), Add(1), st("x"), ExtAtom, Ret(0)];
+        twins(body)
     }
 
     #[test]
     fn unsynchronized_writes_race() {
-        let cfg = ExploreCfg::default();
-        let l = unsync_writers();
-        let drf = check_drf(&l, &cfg).expect("drf");
-        assert!(!drf.is_drf());
-        let np = check_npdrf(&l, &cfg).expect("npdrf");
-        assert!(!np.is_drf(), "NPDRF must also catch the race");
+        // NPDRF must also catch the race.
+        assert_eq!(verdicts(&unsync_writers()), (false, false));
     }
 
     #[test]
     fn atomic_writes_are_race_free() {
-        let cfg = ExploreCfg::default();
-        let l = atomic_writers();
-        assert!(check_drf(&l, &cfg).expect("drf").is_drf());
-        assert!(check_npdrf(&l, &cfg).expect("npdrf").is_drf());
+        assert_eq!(verdicts(&atomic_writers()), (true, true));
     }
 
     #[test]
     fn read_read_is_not_a_race() {
-        let body = vec![ToyInstr::LoadG("x".into()), ToyInstr::Ret(0)];
-        let l = loaded(
-            &[("a", body.clone()), ("b", body)],
-            &[("x", 0)],
-            &["a", "b"],
-        );
-        let cfg = ExploreCfg::default();
-        assert!(check_drf(&l, &cfg).expect("drf").is_drf());
-        assert!(check_npdrf(&l, &cfg).expect("npdrf").is_drf());
+        assert_eq!(verdicts(&twins(vec![ld("x"), Ret(0)])), (true, true));
     }
 
     #[test]
     fn atomic_vs_plain_access_races() {
         // One thread writes x inside an atomic block, the other reads it
         // with a plain access: still a race ((δ1,1) ⌢ (δ2,0)).
-        let writer = vec![
-            ToyInstr::EntAtom,
-            ToyInstr::Const(1),
-            ToyInstr::StoreG("x".into()),
-            ToyInstr::ExtAtom,
-            ToyInstr::Ret(0),
-        ];
-        let reader = vec![ToyInstr::LoadG("x".into()), ToyInstr::Ret(0)];
+        let writer = vec![EntAtom, Const(1), st("x"), ExtAtom, Ret(0)];
+        let reader = vec![ld("x"), Ret(0)];
         let l = loaded(&[("w", writer), ("r", reader)], &[("x", 0)], &["w", "r"]);
-        let cfg = ExploreCfg::default();
-        assert!(!check_drf(&l, &cfg).expect("drf").is_drf());
-        assert!(!check_npdrf(&l, &cfg).expect("npdrf").is_drf());
+        assert_eq!(verdicts(&l), (false, false));
     }
 
     #[test]
     fn local_accesses_never_race() {
         let body = vec![
             ToyInstr::AllocLocal,
-            ToyInstr::Const(5),
+            Const(5),
             ToyInstr::StoreL(0),
             ToyInstr::LoadL(0),
             ToyInstr::RetAcc,
         ];
-        let l = loaded(&[("a", body.clone()), ("b", body)], &[], &["a", "b"]);
-        let cfg = ExploreCfg::default();
-        assert!(check_drf(&l, &cfg).expect("drf").is_drf());
-        assert!(check_npdrf(&l, &cfg).expect("npdrf").is_drf());
+        assert_eq!(verdicts(&twins(body)), (true, true));
     }
 
     #[test]
     fn drf_and_npdrf_agree_on_corpus() {
-        let cfg = ExploreCfg::default();
         for l in [unsync_writers(), atomic_writers()] {
-            let d = check_drf(&l, &cfg).expect("drf").is_drf();
-            let n = check_npdrf(&l, &cfg).expect("npdrf").is_drf();
+            let (d, n) = verdicts(&l);
             assert_eq!(d, n, "DRF ⟺ NPDRF violated");
         }
+    }
+
+    #[test]
+    fn prediction_memo_key_has_the_memory() {
+        // `a` parks inside its atomic block, first with g = 0; `b` then
+        // sets g and writes x. `a` writes x only after reading g = 0, so
+        // a prediction kept from g = 0 shows a race the program lacks.
+        let a = vec![EntAtom, ld("g"), Bnz(5), Const(1), st("x"), ExtAtom, Ret(0)];
+        let b = vec![
+            EntAtom,
+            Const(1),
+            st("g"),
+            ExtAtom,
+            Const(2),
+            st("x"),
+            Ret(0),
+        ];
+        let l = loaded(&[("a", a), ("b", b)], &[("g", 0), ("x", 0)], &["a", "b"]);
+        assert_eq!(verdicts(&l), (true, true));
+    }
+
+    #[test]
+    fn prediction_memo_key_has_the_atomic_bit() {
+        // `a` reaches its `StoreG x` first inside an atomic block, then
+        // outside it (after the `ExtAtom` at 3) with the same state and
+        // memory. Only the second, plain write races with `b`'s atomic
+        // read: a prediction kept from 𝕕 = 1 hides it.
+        let a = vec![Const(0), EntAtom, Jmp(4), ExtAtom, st("x"), Jmp(3)];
+        let b = vec![EntAtom, ld("x"), ExtAtom, Ret(0)];
+        let l = loaded(&[("a", a), ("b", b)], &[("x", 0)], &["a", "b"]);
+        assert_eq!(verdicts(&l), (false, false));
     }
 }

@@ -40,7 +40,8 @@ pub struct ExploreCfg {
     /// [`collect_traces_preemptive`]): `Off` is the exhaustive
     /// sequential oracle, anything else the interned, memoised engine
     /// ([`crate::explore::ParEngine`]) with that partial-order reduction
-    /// (NPDRF has none and runs the engine's frontier unreduced).
+    /// (NPDRF has none and runs the engine on non-preemptive worlds
+    /// unreduced).
     pub reduction: Reduction,
     /// Workers of the engine's work-stealing frontier; `0` and `1` both
     /// mean one worker, run inline on the calling thread. The oracle

@@ -4,7 +4,9 @@
 //! one worker and at three, under both the fingerprint and the exact
 //! visited-set representations — must agree with the naive exhaustive
 //! oracle on every observable: DRF and NPDRF verdicts, per-thread
-//! footprint unions, and full trace sets. Escape-analysis hints are
+//! footprint unions, and full trace sets. On race-free programs the
+//! engine's NPDRF state count must also equal the oracle's, at one and
+//! two workers over exact visited sets. Escape-analysis hints are
 //! checked at one and three workers too, and the engine's one-worker
 //! state counts are pinned to those of the sequential engine it
 //! replaced.
@@ -96,17 +98,34 @@ where
         }
     }
 
+    // The non-preemptive graph has no reduction, so on a race-free
+    // program (explored to exhaustion) the engine must visit exactly the
+    // oracle's worlds: the state count is pinned under exact visited
+    // sets at one and two workers.
     let np = check_npdrf(loaded, &naive_cfg).expect("loads");
     assert!(!np.truncated, "{name}: NPDRF truncated");
-    for cfg in [&ample_cfg, &ws_cfg] {
-        let np_ws = check_npdrf(loaded, cfg).expect("loads");
+    for (workers, visited) in [
+        (1, VisitedMode::Exact),
+        (2, VisitedMode::Exact),
+        (3, VisitedMode::Fingerprint),
+    ] {
+        let cfg = ExploreCfg {
+            visited,
+            ..cfg_with(Reduction::Ample, workers)
+        };
+        let np_ws = check_npdrf(loaded, &cfg).expect("loads");
         assert!(!np_ws.truncated, "{name}: NPDRF truncated");
         assert_eq!(
             np.is_drf(),
             np_ws.is_drf(),
-            "{name}: NPDRF verdict ({} workers)",
-            cfg.threads
+            "{name}: NPDRF verdict ({workers} workers, {visited:?})"
         );
+        if np.is_drf() && visited == VisitedMode::Exact {
+            assert_eq!(
+                np.states, np_ws.states,
+                "{name}: NPDRF state count ({workers} workers)"
+            );
+        }
     }
 
     let fp_naive = collect_footprints(loaded, &naive_cfg).expect("loads");
