@@ -84,7 +84,7 @@ pub use rg_cert::{
 };
 pub use rtl_fp::{infer_rtl, infer_rtl_with, RtlFnFootprints, RtlSummaries};
 pub use sepcomp::{
-    build_program, build_program_certified, check_link_obligations,
+    build_program, build_program_certified, build_workers, check_link_obligations,
     check_link_obligations_with_certs, check_rg_compatible, expected_passes, recheck_pipeline,
     recheck_shape, LinkObligation, LinkObligationKind, LinkReport, SepUnit, SepcompCertResult,
     SepcompResult, TransvalCertifier,

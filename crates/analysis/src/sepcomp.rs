@@ -30,7 +30,9 @@
 //!
 //! [`build_program`] drives both halves: every unit goes through the
 //! cache (hits re-checked, misses certified), then the link obligations
-//! are discharged over the results.
+//! are discharged over the results. Units are independent until link
+//! time, so the per-unit half runs on all available cores
+//! ([`build_workers`]); its results do not depend on the worker count.
 
 use crate::lockset::{infer_lock_model, LockModel, StaticVerdict};
 use crate::region::AbsFootprint;
@@ -42,10 +44,14 @@ use crate::transval::object::validate_id_trans;
 use crate::transval::{validate_artifacts, PipelineWitness, Verdict};
 use ccc_cimp::CImpModule;
 use ccc_clight::ClightModule;
-use ccc_compiler::cache::{CacheError, CachedCompilation, Certifier, CompileCache, RecheckDepth};
+use ccc_compiler::cache::{
+    module_hash, CacheError, CachedCompilation, Certifier, CompileCache, RecheckDepth,
+};
 use ccc_compiler::CompilationArtifacts;
+use ccc_core::explore::FxHashSet;
 use ccc_core::mem::GlobalEnv;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// The pass names the validator must have produced for these artifacts,
 /// in pipeline order (the Constprop extension stage appears exactly
@@ -477,6 +483,85 @@ pub fn check_link_obligations_with_certs(
     report
 }
 
+/// The index of the first unit of each distinct module, in unit order.
+fn first_units(units: &[SepUnit]) -> Vec<usize> {
+    let mut seen = FxHashSet::default();
+    (0..units.len())
+        .filter(|&i| seen.insert(module_hash(&units[i].module)))
+        .collect()
+}
+
+/// How many workers [`build_program`] and [`build_program_certified`]
+/// build `units` on: the machine's available parallelism, capped at the
+/// number of distinct modules. One worker means the units are built
+/// inline, on the calling thread.
+#[must_use]
+pub fn build_workers(units: &[SepUnit]) -> usize {
+    workers_for(first_units(units).len())
+}
+
+fn workers_for(distinct: usize) -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .min(distinct)
+}
+
+/// Runs `build` on every unit and returns the results in unit order,
+/// or the first error in unit order.
+///
+/// The first unit of each module is built on [`build_workers`] scoped
+/// workers (the calling thread is one of them), each taking the next
+/// unit index in turn; after an error no worker takes a new unit. A
+/// unit that repeats an earlier module is built afterwards, in unit
+/// order, so it is served from the cache exactly as in a sequential
+/// loop. Units never share a module hash while the workers run, so
+/// per-unit outcomes and cache counters do not depend on the worker
+/// count; on an error, units after the failing one may already have
+/// been built and cached.
+fn build_units<T: Send>(
+    units: &[SepUnit],
+    build: impl Fn(&SepUnit) -> Result<T, CacheError> + Sync,
+) -> Result<Vec<T>, CacheError> {
+    let firsts = first_units(units);
+    let mut built: Vec<Option<Result<T, CacheError>>> = units.iter().map(|_| None).collect();
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let work = || {
+        let mut out = Vec::new();
+        while !failed.load(Ordering::Relaxed) {
+            let Some(&i) = firsts.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                break;
+            };
+            let r = build(&units[i]);
+            if r.is_err() {
+                failed.store(true, Ordering::Relaxed);
+            }
+            out.push((i, r));
+        }
+        out
+    };
+    let done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers_for(firsts.len()))
+            .map(|_| s.spawn(work))
+            .collect();
+        let mut done = work();
+        for h in helpers {
+            done.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        done
+    });
+    for (i, r) in done {
+        built[i] = Some(r);
+    }
+    // Every unit before the first error is built: workers take units in
+    // order, and a repeated module is served here, after its first unit.
+    built
+        .into_iter()
+        .zip(units)
+        .map(|(r, u)| r.unwrap_or_else(|| build(u)))
+        .collect()
+}
+
 /// The result of one whole-program incremental build.
 #[derive(Clone, Debug)]
 pub struct SepcompResult {
@@ -493,11 +578,20 @@ pub struct SepcompResult {
 /// (or served and re-checked), then the link-time obligations are
 /// re-discharged across all units.
 ///
+/// Units are built on [`build_workers`] threads, one distinct module
+/// per worker at a time; a unit that repeats an earlier module is
+/// served afterwards, in unit order. Per-unit outcomes and the cache
+/// counters therefore equal those of a sequential loop over `units`,
+/// whatever the worker count. The link obligations run once, after
+/// every unit is built.
+///
 /// # Errors
 ///
-/// Propagates the first unit whose *fresh* compilation fails to compile
-/// or certify; poisoned cache entries degrade to recompilation and are
-/// visible per-unit as `CacheOutcome::Rejected`.
+/// Propagates the first unit, in unit order, whose *fresh* compilation
+/// fails to compile or certify; poisoned cache entries degrade to
+/// recompilation and are visible per-unit as `CacheOutcome::Rejected`.
+/// Units after the failing one may already have been built and cached
+/// by then.
 pub fn build_program(
     units: &[SepUnit],
     object_src: &CImpModule,
@@ -507,10 +601,7 @@ pub fn build_program(
     certifier: &dyn Certifier,
     depth: RecheckDepth,
 ) -> Result<SepcompResult, CacheError> {
-    let modules = units
-        .iter()
-        .map(|u| cache.compile_cached(&u.module, certifier, depth))
-        .collect::<Result<Vec<_>, _>>()?;
+    let modules = build_units(units, |u| cache.compile_cached(&u.module, certifier, depth))?;
     Ok(SepcompResult {
         modules,
         link: check_link_obligations(units, object_src, object_tgt, object_ge),
@@ -543,9 +634,16 @@ pub struct SepcompCertResult {
 /// the other N−1 are cache hits whose re-check is a lockset walk, not
 /// an exploration.
 ///
+/// Each unit's certificate and compilation are built together, by one
+/// worker, with the workers, ordering and duplicate handling of
+/// [`build_program`]: per-unit outcomes, certificates and cache counters
+/// equal those of a sequential loop that runs `rg_cert_cached` and then
+/// `compile_cached` on each unit in turn.
+///
 /// # Errors
 ///
-/// As [`build_program`].
+/// As [`build_program`]: the first error in unit order, with later
+/// units possibly already built and cached.
 pub fn build_program_certified(
     units: &[SepUnit],
     object_src: &CImpModule,
@@ -556,14 +654,13 @@ pub fn build_program_certified(
     depth: RecheckDepth,
 ) -> Result<SepcompCertResult, CacheError> {
     let model: LockModel = infer_lock_model(object_src);
-    let (certs, cert_outcomes): (Vec<_>, Vec<_>) = units
-        .iter()
-        .map(|u| rg_cert_cached(&u.name, &u.module, &u.entries, &model, cache))
-        .unzip();
-    let modules = units
-        .iter()
-        .map(|u| cache.compile_cached(&u.module, certifier, depth))
-        .collect::<Result<Vec<_>, _>>()?;
+    let (certified, modules): (Vec<_>, Vec<_>) = build_units(units, |u| {
+        let cert = rg_cert_cached(&u.name, &u.module, &u.entries, &model, cache);
+        Ok((cert, cache.compile_cached(&u.module, certifier, depth)?))
+    })?
+    .into_iter()
+    .unzip();
+    let (certs, cert_outcomes): (Vec<_>, Vec<_>) = certified.into_iter().unzip();
     Ok(SepcompCertResult {
         modules,
         link: check_link_obligations_with_certs(units, &certs, object_src, object_tgt, object_ge),

@@ -48,6 +48,14 @@
 //! only the expensive certification step. That makes the disk tier a
 //! witness cache rather than an artifact cache; the memory tier caches
 //! both.
+//!
+//! Concurrent writers are safe. Every write of an entry or certificate
+//! goes to a temp file named for its writer (process id plus a
+//! process-wide counter) in the same directory, then is renamed into
+//! place. Two threads or processes that miss on the same module at once
+//! both succeed, the last rename wins, and a reader sees a whole file,
+//! never a torn one. Both writers store the same bytes, since the
+//! pipeline and the certifier are deterministic.
 
 use crate::driver::{compile_with_artifacts, CompilationArtifacts, CompileError};
 use ccc_clight::ClightModule;
@@ -531,11 +539,7 @@ impl CompileCache {
             return;
         }
         if let Some(path) = self.cert_disk_path(hash) {
-            let tmp = path.with_extension("rgc.tmp");
-            let body = format!("ccc-cert {CACHE_FORMAT_VERSION}\n{json}\n");
-            if std::fs::write(&tmp, body).is_ok() {
-                let _ = std::fs::rename(&tmp, &path);
-            }
+            let _ = write_via_temp(&path, &format!("ccc-cert {CACHE_FORMAT_VERSION}\n{json}\n"));
         }
     }
 
@@ -743,9 +747,7 @@ impl CompileCache {
             out.push_str(&format!("digest {name} {d:016x}\n"));
         }
         out.push_str(&format!("witness {}\n", entry.witness_json));
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, out).map_err(|e| CacheError::Io(e.to_string()))?;
-        std::fs::rename(&tmp, &path).map_err(|e| CacheError::Io(e.to_string()))
+        write_via_temp(&path, &out).map_err(|e| CacheError::Io(e.to_string()))
     }
 
     /// Loads and syntactically checks the disk entry for `hash`.
@@ -795,6 +797,26 @@ impl CompileCache {
             witness_json,
         }))
     }
+}
+
+/// Writes `body` to `path` through a temp file of this writer's own
+/// (`<path>.<pid>.<n>.tmp`), then renames it into place, so concurrent
+/// writers of one entry never share a temp file. The temp file is
+/// removed if either step fails.
+fn write_via_temp(path: &Path, body: &str) -> std::io::Result<()> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = PathBuf::from(tmp);
+    let r = std::fs::write(&tmp, body).and_then(|()| std::fs::rename(&tmp, path));
+    if r.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    r
 }
 
 /// The conventional disk-tier location, `target/ccc-cache/`.

@@ -12,13 +12,20 @@
 //! deterministic tests poison the cache in every way the trust
 //! argument claims to catch.
 
-use ccc_analysis::sepcomp::{build_program, check_link_obligations, SepUnit, TransvalCertifier};
+use ccc_analysis::sepcomp::{
+    build_program, build_program_certified, build_workers, check_link_obligations,
+    check_link_obligations_with_certs, SepUnit, SepcompCertResult, TransvalCertifier,
+};
+use ccc_analysis::{infer_lock_model, rg_cert_cached};
+use ccc_cimp::CImpModule;
 use ccc_clight::ast::ClightModule;
 use ccc_compiler::driver::{compile_with_artifacts, id_trans};
 use ccc_compiler::{
-    module_hash, module_hash_with_version, CacheOutcome, Certifier, CompilationArtifacts,
-    CompileCache, CompileService, RecheckDepth, ServiceCfg, CACHE_FORMAT_VERSION,
+    module_hash, module_hash_with_version, CacheError, CacheOutcome, Certifier,
+    CompilationArtifacts, CompileCache, CompileService, RecheckDepth, ServiceCfg,
+    TrustingCertifier, CACHE_FORMAT_VERSION,
 };
+use ccc_core::mem::GlobalEnv;
 use ccc_fuzz::{
     check_cached_vs_fresh_seeded, gen_program, lower_prefixed, parse_program, program_to_text,
     CorpusEntry, FuzzProgram,
@@ -27,7 +34,8 @@ use ccc_sync::lock::lock_spec;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 /// Units per generated program in the multi-module battery.
 const UNITS: usize = 4;
@@ -473,4 +481,327 @@ fn service_serves_warm_hits_bit_identical_to_cold() {
     }
     assert_eq!(cache.stats().hits, 12);
     svc.shutdown();
+}
+
+// --- Concurrent writers of one disk entry.
+
+/// Two threads that miss on the same module at once both write its
+/// disk entry and certificate. Each writer has its own temp file, so
+/// every call succeeds, the entry on disk parses afterwards, and no
+/// temp file is left behind.
+#[test]
+fn concurrent_same_module_misses_all_succeed() {
+    let dir = tmp_dir("sepcomp_disk_race");
+    let m = module_of(11, 6);
+    let hash = module_hash(&m);
+    let cert = "{\"module\":\"m0\"}";
+    let mut failures = Vec::new();
+    for round in 0..100 {
+        let cache = CompileCache::new().with_disk(&dir).expect("disk tier");
+        for p in [cache.disk_path(hash), cache.cert_disk_path(hash)]
+            .into_iter()
+            .flatten()
+        {
+            let _ = std::fs::remove_file(p);
+        }
+        let barrier = Barrier::new(2);
+        let results: Vec<_> = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        cache.cert_put(hash, cert);
+                        cache.compile_cached(&m, &TransvalCertifier, RecheckDepth::Structural)
+                    })
+                })
+                .collect();
+            writers
+                .into_iter()
+                .map(|w| w.join().expect("writer panicked"))
+                .collect()
+        });
+        for r in results {
+            if let Err(e) = r {
+                failures.push(format!("round {round}: {e}"));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of 200 concurrent misses failed: {failures:?}",
+        failures.len()
+    );
+    let cache = CompileCache::new().with_disk(&dir).expect("disk tier");
+    let served = cache
+        .compile_cached(&m, &TransvalCertifier, RecheckDepth::Structural)
+        .expect("disk entry");
+    assert_eq!(served.outcome, CacheOutcome::DiskHit);
+    assert_eq!(cache.cert_get(hash).as_deref(), Some(cert));
+    let temps: Vec<_> = std::fs::read_dir(&dir)
+        .expect("disk tier directory")
+        .map(|e| e.expect("directory entry").file_name())
+        .filter(|n| n.to_string_lossy().ends_with(".tmp"))
+        .collect();
+    assert!(temps.is_empty(), "temp files left behind: {temps:?}");
+}
+
+// --- Parallel builds against the sequential loop they replace.
+
+struct Object {
+    src: CImpModule,
+    tgt: CImpModule,
+    ge: GlobalEnv,
+}
+
+fn lock_object() -> Object {
+    let (src, ge) = lock_spec("L");
+    Object {
+        tgt: id_trans(&src),
+        src,
+        ge,
+    }
+}
+
+fn certified(units: &[SepUnit], object: &Object, cache: &CompileCache) -> SepcompCertResult {
+    build_program_certified(
+        units,
+        &object.src,
+        &object.tgt,
+        &object.ge,
+        cache,
+        &TransvalCertifier,
+        RecheckDepth::Structural,
+    )
+    .expect("certified build")
+}
+
+/// The sequential reference: `rg_cert_cached` then `compile_cached` on
+/// each unit in turn, then the link obligations.
+fn sequential_certified(
+    units: &[SepUnit],
+    object: &Object,
+    cache: &CompileCache,
+) -> SepcompCertResult {
+    let model = infer_lock_model(&object.src);
+    let (mut modules, mut certs, mut cert_outcomes) = (Vec::new(), Vec::new(), Vec::new());
+    for u in units {
+        let (cert, outcome) = rg_cert_cached(&u.name, &u.module, &u.entries, &model, cache);
+        certs.push(cert);
+        cert_outcomes.push(outcome);
+        modules.push(
+            cache
+                .compile_cached(&u.module, &TransvalCertifier, RecheckDepth::Structural)
+                .expect("unit builds"),
+        );
+    }
+    SepcompCertResult {
+        link: check_link_obligations_with_certs(
+            units,
+            &certs,
+            &object.src,
+            &object.tgt,
+            &object.ge,
+        ),
+        modules,
+        certs,
+        cert_outcomes,
+    }
+}
+
+fn assert_same_build(
+    what: &str,
+    got: &SepcompCertResult,
+    want: &SepcompCertResult,
+    got_cache: &CompileCache,
+    want_cache: &CompileCache,
+) {
+    assert_eq!(got.modules.len(), want.modules.len(), "{what}: unit count");
+    for (i, (a, b)) in got.modules.iter().zip(&want.modules).enumerate() {
+        assert_eq!(a.outcome, b.outcome, "{what}: unit {i} outcome");
+        assert_eq!(a.hash, b.hash, "{what}: unit {i} hash");
+        assert!(*a.arts == *b.arts, "{what}: unit {i} artifacts differ");
+        assert_eq!(a.witness_json, b.witness_json, "{what}: unit {i} witness");
+    }
+    assert_eq!(got.certs, want.certs, "{what}: certificates");
+    assert_eq!(
+        got.cert_outcomes, want.cert_outcomes,
+        "{what}: cert outcomes"
+    );
+    assert_eq!(got.link, want.link, "{what}: link report");
+    assert_eq!(
+        got_cache.stats(),
+        want_cache.stats(),
+        "{what}: cache counters"
+    );
+}
+
+/// A 20-module program on a disk-backed cache, built cold, after an
+/// edit of one module and after a restart: every build equals the
+/// sequential reference loop's, unit for unit, and the cache counters
+/// move the same way.
+#[test]
+fn parallel_certified_build_equals_sequential_loop() {
+    const N: usize = 20;
+    const EDIT: usize = 13;
+    let programs = programs_from(300, N + 1, 5);
+    let base = units_of(&programs[..N]);
+    let mut edited_programs = programs[..N].to_vec();
+    edited_programs[EDIT] = programs[N].clone();
+    let edited = units_of(&edited_programs);
+    assert_ne!(
+        module_hash(&base[EDIT].module),
+        module_hash(&edited[EDIT].module)
+    );
+    let object = lock_object();
+    let par = CompileCache::new()
+        .with_disk(tmp_dir("sepcomp_par_build"))
+        .expect("disk tier");
+    let seq = CompileCache::new()
+        .with_disk(tmp_dir("sepcomp_seq_build"))
+        .expect("disk tier");
+
+    let (a, b) = (
+        certified(&base, &object, &par),
+        sequential_certified(&base, &object, &seq),
+    );
+    assert_same_build("cold", &a, &b, &par, &seq);
+    assert!(a.modules.iter().all(|m| m.outcome == CacheOutcome::Miss));
+
+    let (a, b) = (
+        certified(&edited, &object, &par),
+        sequential_certified(&edited, &object, &seq),
+    );
+    assert_same_build("edit", &a, &b, &par, &seq);
+    for (i, m) in a.modules.iter().enumerate() {
+        let want = if i == EDIT {
+            CacheOutcome::Miss
+        } else {
+            CacheOutcome::Hit
+        };
+        assert_eq!(m.outcome, want, "edit: unit {i}");
+    }
+
+    par.clear_memory();
+    seq.clear_memory();
+    let (a, b) = (
+        certified(&base, &object, &par),
+        sequential_certified(&base, &object, &seq),
+    );
+    assert_same_build("restart", &a, &b, &par, &seq);
+    assert!(a.modules.iter().all(|m| m.outcome == CacheOutcome::DiskHit));
+}
+
+/// A unit that repeats an earlier module is served from the cache after
+/// that module's first unit, in unit order: one miss per distinct
+/// module, then hits, whatever the worker count.
+#[test]
+fn repeated_modules_are_served_in_unit_order() {
+    let programs = programs_from(500, 3, 5);
+    let distinct = units_of(&programs);
+    let order = [0, 1, 0, 2, 1, 0];
+    let units: Vec<SepUnit> = order.iter().map(|&k| distinct[k].clone()).collect();
+    assert_eq!(build_workers(&units), build_workers(&distinct));
+    let object = lock_object();
+
+    let par = CompileCache::new();
+    let seq = CompileCache::new();
+    let (a, b) = (
+        certified(&units, &object, &par),
+        sequential_certified(&units, &object, &seq),
+    );
+    assert_same_build("repeats", &a, &b, &par, &seq);
+    for (i, m) in a.modules.iter().enumerate() {
+        let first = order[..i].iter().all(|&k| k != order[i]);
+        let want = if first {
+            CacheOutcome::Miss
+        } else {
+            CacheOutcome::Hit
+        };
+        assert_eq!(m.outcome, want, "unit {i}");
+    }
+    let stats = par.stats();
+    assert_eq!((stats.misses, stats.hits), (3, 3), "{stats:?}");
+    assert_eq!((stats.cert_misses, stats.cert_hits), (3, 3), "{stats:?}");
+
+    let plain = CompileCache::new();
+    let r = build_program(
+        &units,
+        &object.src,
+        &object.tgt,
+        &object.ge,
+        &plain,
+        &TransvalCertifier,
+        RecheckDepth::Structural,
+    )
+    .expect("build");
+    let outcomes: Vec<_> = r.modules.iter().map(|m| m.outcome.clone()).collect();
+    let want: Vec<_> = a.modules.iter().map(|m| m.outcome.clone()).collect();
+    assert_eq!(outcomes, want);
+    assert_eq!((plain.stats().misses, plain.stats().hits), (3, 3));
+}
+
+/// Rejects two chosen modules. The earlier one is rejected only after a
+/// pause, so on more than one worker the later rejection is usually
+/// reached first.
+struct RejectTwo {
+    early: u64,
+    late: u64,
+}
+
+impl Certifier for RejectTwo {
+    fn certify(&self, arts: &CompilationArtifacts) -> Result<String, String> {
+        let h = module_hash(&arts.clight);
+        if h == self.early {
+            std::thread::sleep(Duration::from_millis(30));
+        }
+        if h == self.early || h == self.late {
+            return Err(format!("rejected {h:016x}"));
+        }
+        TrustingCertifier.certify(arts)
+    }
+
+    fn recheck(
+        &self,
+        _arts: &CompilationArtifacts,
+        _witness_json: &str,
+        _depth: RecheckDepth,
+    ) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+/// With two failing units, both builds return the error of the earlier
+/// one in unit order, on every run.
+#[test]
+fn build_error_is_the_first_in_unit_order() {
+    let units = units_of(&programs_from(700, 8, 5));
+    let early = module_hash(&units[1].module);
+    let certifier = RejectTwo {
+        early,
+        late: module_hash(&units[6].module),
+    };
+    let want = CacheError::Certify(format!("rejected {early:016x}"));
+    let object = lock_object();
+    for run in 0..5 {
+        let r = build_program_certified(
+            &units,
+            &object.src,
+            &object.tgt,
+            &object.ge,
+            &CompileCache::new(),
+            &certifier,
+            RecheckDepth::Structural,
+        );
+        assert_eq!(r.err(), Some(want.clone()), "certified run {run}");
+        let r = build_program(
+            &units,
+            &object.src,
+            &object.tgt,
+            &object.ge,
+            &CompileCache::new(),
+            &certifier,
+            RecheckDepth::Structural,
+        );
+        assert_eq!(r.err(), Some(want.clone()), "plain run {run}");
+    }
 }
