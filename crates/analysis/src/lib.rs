@@ -33,8 +33,9 @@
 //!   guided by untrusted structural hints the passes expose. Every
 //!   pipeline stage is covered statically — the cross-IR front end and
 //!   back end by lockstep symbolic evaluation and re-derivation
-//!   hints, the object-level `IdTrans` by atomic-shape preservation —
-//!   so `Validation::Static` needs no differential fallback.
+//!   hints, the object-level `IdTrans` by atomic-shape preservation.
+//!   A pass's verdict is its obligations: it validates exactly when
+//!   every one is discharged, and stored witnesses carry nothing else.
 //!
 //! * **Rely-guarantee certification** ([`rg_cert`]): a static
 //!   per-module interference certificate — guarantee as action
@@ -90,10 +91,7 @@ pub use sepcomp::{
     SepcompResult, TransvalCertifier,
 };
 pub use transval::object::validate_id_trans;
-pub use transval::{
-    validate_artifacts, validate_with_mode, PipelineWitness, SimWitness, Validation,
-    ValidationReport,
-};
+pub use transval::{validate_artifacts, PipelineWitness, SimWitness};
 pub use tso_robust::{
     analyze, compile_with_robustness, eliminate_redundant_fences, insert_fences, AccessRef,
     CheckedError, CriticalCycle, FenceElimination, FenceInsertion, FencePoint, ReorderablePair,

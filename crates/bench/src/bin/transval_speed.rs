@@ -9,20 +9,21 @@
 //! validator, once by the differential checker restricted to exactly
 //! that pass. Both sides must accept. The run aborts unless the median
 //! per-pass speedup is at least 10x, both overall and over the
-//! newly-covered cross-IR stages (the economics the
-//! `Validation::Static` fuzzing mode relies on), and unless
-//! `validate_artifacts` covers every pass with no `Unsupported`
-//! verdict — the CI gate against any stage silently falling back to
-//! the differential oracle.
+//! newly-covered cross-IR stages (the economics the fuzz oracle's
+//! `Validation::Static` mode relies on), and unless
+//! `validate_artifacts` produces a validated witness for exactly the
+//! passes `expected_passes` names — the CI gate against any stage
+//! silently dropping out of static validation.
 //!
 //! Run with: `cargo run --release -p ccc-bench --bin transval_speed`
 //! (`--smoke` shrinks the seed count for CI). Results are written to
 //! `BENCH_transval.json` in the current directory.
 
-use ccc_analysis::transval::{backend, frontend, passes as tv, Verdict};
-use ccc_analysis::{validate_artifacts, SimWitness};
+use ccc_analysis::transval::{backend, frontend, passes as tv};
+use ccc_analysis::{recheck_pipeline, validate_artifacts, SimWitness};
 use ccc_clight::ast::{Binop, Expr as E, Function, Stmt};
 use ccc_clight::ClightModule;
+use ccc_compiler::cache::RecheckDepth;
 use ccc_compiler::compile_with_artifacts_mutated;
 use ccc_compiler::driver::CompilationArtifacts;
 use ccc_compiler::verif::verify_passes_filtered;
@@ -166,16 +167,14 @@ fn main() {
         })
         .collect();
 
-    // The no-silent-fallback gate: the full pipeline validator must
-    // report a verdict for every pass, none of them `Unsupported`, so
-    // `Validation::Static` never quietly re-runs the dynamic oracle.
+    // The coverage gate: the full pipeline validator must produce a
+    // validated witness for every pass the pipeline ran — the same
+    // structural rules a cache hit re-checks.
     for (seed, (arts, _)) in modules.iter().enumerate() {
         let w = validate_artifacts(arts);
-        assert!(
-            w.unsupported_passes().is_empty(),
-            "seed {seed}: stages silently fall back to differential: {:?}",
-            w.unsupported_passes()
-        );
+        if let Err(e) = recheck_pipeline(arts, &w, RecheckDepth::Structural) {
+            panic!("seed {seed}: pipeline witness incomplete: {e}");
+        }
     }
 
     let mut rows = Vec::new();
@@ -187,7 +186,7 @@ fn main() {
             let w = validate(arts);
             t_static += t.elapsed();
             assert!(
-                w.verdict == Verdict::Validated,
+                w.validated(),
                 "seed {seed}: static validator rejected {pass}:\n{w}"
             );
 

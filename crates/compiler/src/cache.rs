@@ -66,9 +66,11 @@ use std::sync::{Arc, Mutex};
 
 /// Version stamp mixed into every [`module_hash`] and written as the
 /// first line of every disk entry. Bump it whenever the Clight AST, the
-/// `Hash` derivation, the digest scheme, or the disk layout changes:
-/// old entries then miss instead of being misinterpreted.
-pub const CACHE_FORMAT_VERSION: u32 = 1;
+/// `Hash` derivation, the digest scheme, the disk layout, or the stored
+/// witness or certificate format changes: old entries then miss instead
+/// of being misinterpreted. Version 2: witnesses store no per-pass
+/// verdict, only the obligations it is read off.
+pub const CACHE_FORMAT_VERSION: u32 = 2;
 
 /// The content address of a module under an explicit format version
 /// (exposed so tests can demonstrate that bumping the version invalidates
@@ -128,12 +130,12 @@ pub fn artifact_digests(arts: &CompilationArtifacts) -> Vec<(String, u64)> {
 pub enum RecheckDepth {
     /// The cheap static re-check (the default): parse the stored
     /// witness, require the pass list to match what the pipeline must
-    /// have produced, require every obligation discharged and every
-    /// verdict `Validated`, and require verdicts consistent with their
-    /// obligations. Trusts that the stored witness was *derived from*
-    /// the stored artifacts (the source binding is always checked
-    /// regardless of depth, and disk-tier artifacts are additionally
-    /// digest-matched against a deterministic recompilation).
+    /// have produced, and require every obligation discharged — i.e.
+    /// the stored witness validates. Trusts that the stored witness
+    /// was *derived from* the stored artifacts (the source binding is
+    /// always checked regardless of depth, and disk-tier artifacts are
+    /// additionally digest-matched against a deterministic
+    /// recompilation).
     #[default]
     Structural,
     /// Additionally re-derive the whole `PipelineWitness` from the

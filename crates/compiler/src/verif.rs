@@ -101,10 +101,9 @@ pub fn verify_passes(arts: &CompilationArtifacts, ge: &GlobalEnv, entry: &str) -
 }
 
 /// Like [`verify_passes`], but only runs the passes whose name `keep`
-/// accepts, skipping the (expensive) co-execution of the rest. This is
-/// how the `Validation::Static` mode of `ccc-analysis` falls back to
-/// the differential check for exactly the passes its symbolic validator
-/// reports as `Unsupported`.
+/// accepts, skipping the (expensive) co-execution of the rest. Used to
+/// check and time one stage at a time beside its static validator
+/// (`ir_dump --validate`, the `transval_speed` bench).
 pub fn verify_passes_filtered(
     arts: &CompilationArtifacts,
     ge: &GlobalEnv,

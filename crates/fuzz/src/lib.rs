@@ -38,7 +38,7 @@ pub use mutation::{
     kill_one, kill_one_seeded, run_scoreboard, run_scoreboard_seeded, static_board_markdown,
     transval_corpus_board, MutantScore, Scoreboard, StaticKill,
 };
-pub use oracle::{check_program, FuzzFailure, OracleCfg};
+pub use oracle::{check_program, FuzzFailure, OracleCfg, Validation};
 pub use rgdiff::{check_rg_vs_exploration, RgDiffReport};
 pub use shrink::shrink;
 pub use spec::{lower, lower_prefixed, FuzzProgram, SStmt};

@@ -15,7 +15,6 @@ use crate::corpus::CorpusEntry;
 use crate::gen::gen_program;
 use crate::oracle::{check_program, FuzzFailure, OracleCfg};
 use crate::spec::{lower, FuzzProgram};
-use ccc_analysis::transval::Verdict;
 use ccc_analysis::{validate_artifacts, validate_id_trans};
 use ccc_compiler::{
     compile_with_artifacts_mutated, id_trans_drop_assert, id_trans_mutated, Mutant,
@@ -219,7 +218,7 @@ pub fn transval_corpus_board(witnesses: &[(Mutant, FuzzProgram)]) -> Vec<StaticK
                 let w = validate_id_trans(&lock, &tgt);
                 return StaticKill {
                     mutant: *mutant,
-                    rejected_at: (w.verdict == Verdict::Rejected).then(|| w.pass.clone()),
+                    rejected_at: (!w.validated()).then(|| w.pass.clone()),
                     detail: w
                         .diagnostics()
                         .first()

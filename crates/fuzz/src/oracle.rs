@@ -24,8 +24,7 @@
 //! the last agreeing IR and the first disagreeing one.
 
 use crate::spec::{lower, FuzzProgram};
-use ccc_analysis::transval::Verdict;
-use ccc_analysis::{validate_artifacts, validate_id_trans, Validation};
+use ccc_analysis::{validate_artifacts, validate_id_trans};
 use ccc_clight::ClightLang;
 use ccc_compiler::driver::CompilationArtifacts;
 use ccc_compiler::{
@@ -43,6 +42,24 @@ use ccc_sync::lock::lock_spec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Which checkers judge each compiled stage.
+///
+/// Both modes run static translation validation (`transval`) first; a
+/// rejection kills the input at `transval/<pass>` before any code runs.
+/// They differ in what executes afterwards.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Validation {
+    /// Transval alone judges the compiled stages: their differential
+    /// co-execution is skipped, and only the TSO machine comparison and
+    /// the schedule record/replay probe still execute code.
+    Static,
+    /// Transval, then differential co-execution of every stage. A
+    /// differential failure at a stage transval validated is reported
+    /// as a static/differential disagreement: one of the two checkers
+    /// is wrong, or sees a miscompilation the other cannot.
+    Both,
+}
+
 /// Tuning for one oracle invocation.
 #[derive(Clone, Debug)]
 pub struct OracleCfg {
@@ -54,12 +71,8 @@ pub struct OracleCfg {
     pub schedule_steps: usize,
     /// Seed for the random schedule of the record/replay probe.
     pub schedule_seed: u64,
-    /// How to validate each compilation: symbolically
-    /// ([`Validation::Static`], with the differential check only
-    /// covering the passes the symbolic validator cannot), dynamically
-    /// ([`Validation::Differential`], the pre-existing oracle), or both
-    /// ([`Validation::Both`], the default — any disagreement between
-    /// the two checkers is itself reported as a failure).
+    /// How to validate each compilation (default
+    /// [`Validation::Both`]).
     pub validation: Validation,
 }
 
@@ -313,54 +326,43 @@ pub fn check_program(
     let arts = compile_with_artifacts_mutated(&m, mutant)
         .map_err(|e| fail("compile", format!("{e:?}")))?;
 
-    // Static translation validation first: every supported pass's run
-    // must discharge its per-block simulation obligations. A rejection
-    // kills the input without executing a single instruction, and is
+    // Static translation validation first: every pass's run must
+    // discharge its per-block simulation obligations. A rejection kills
+    // the input without executing a single instruction, and is
     // localized to the owning pass via the `transval/<pass>` stage.
-    let mut static_validated = std::collections::BTreeSet::new();
-    if cfg.validation != Validation::Differential {
-        let witness = validate_artifacts(&arts);
-        if let Some(rej) = witness.rejected().next() {
-            let first = rej
-                .diagnostics()
-                .into_iter()
-                .next()
-                .map_or_else(String::new, |d| d.to_string());
-            return Err(fail(
-                &format!("transval/{}", rej.pass),
-                format!(
-                    "static validation rejected ({} undischarged obligations): {first}",
-                    rej.failures().count()
-                ),
-            ));
-        }
-        static_validated = witness
-            .witnesses
-            .iter()
-            .filter(|w| w.verdict == Verdict::Validated)
-            .map(|w| w.pass.clone())
-            .collect();
+    if let Some(rej) = validate_artifacts(&arts).rejected().next() {
+        let first = rej
+            .diagnostics()
+            .into_iter()
+            .next()
+            .map_or_else(String::new, |d| d.to_string());
+        return Err(fail(
+            &format!("transval/{}", rej.pass),
+            format!(
+                "static validation rejected ({} undischarged obligations): {first}",
+                rej.failures().count()
+            ),
+        ));
     }
 
     let result = check_differential(p, &arts, &ge, &entries, mutant, cfg);
-    // In `Both` mode a dynamic failure at a statically validated pass
-    // is a disagreement between the two checkers — one of them is wrong
-    // (or sees a miscompilation the other cannot). Annotate it so the
+    // Every pass validated statically (a rejection returned above), so
+    // in `Both` mode a dynamic failure at a stage some pass owns is a
+    // disagreement between the two checkers — one of them is wrong (or
+    // sees a miscompilation the other cannot). Annotate it so the
     // shrunk, persisted counterexample carries the disagreement.
     match result {
-        Err(f) if cfg.validation == Validation::Both => {
-            match owning_pass(&f.stage).filter(|pass| static_validated.contains(*pass)) {
-                Some(pass) => Err(FuzzFailure {
-                    stage: f.stage.clone(),
-                    detail: format!(
-                        "static/differential disagreement: transval validated pass {pass} \
+        Err(f) if cfg.validation == Validation::Both => match owning_pass(&f.stage) {
+            Some(pass) => Err(FuzzFailure {
+                stage: f.stage.clone(),
+                detail: format!(
+                    "static/differential disagreement: transval validated pass {pass} \
                          but the differential oracle failed: {}",
-                        f.detail
-                    ),
-                }),
-                None => Err(f),
-            }
-        }
+                    f.detail
+                ),
+            }),
+            None => Err(f),
+        },
         r => r,
     }
 }
@@ -462,22 +464,20 @@ fn check_differential(
 
     // Static validation of the object-level transformation: atomic
     // bracketing (and everything inside it) must survive bit-for-bit.
-    if cfg.validation != Validation::Differential {
-        let w = validate_id_trans(&lock, &tgt_lock);
-        if w.verdict == Verdict::Rejected {
-            let first = w
-                .diagnostics()
-                .into_iter()
-                .next()
-                .map_or_else(String::new, |d| d.to_string());
-            return Err(fail(
-                "transval/IdTrans",
-                format!(
-                    "static validation rejected ({} undischarged obligations): {first}",
-                    w.failures().count()
-                ),
-            ));
-        }
+    let w = validate_id_trans(&lock, &tgt_lock);
+    if !w.validated() {
+        let first = w
+            .diagnostics()
+            .into_iter()
+            .next()
+            .map_or_else(String::new, |d| d.to_string());
+        return Err(fail(
+            "transval/IdTrans",
+            format!(
+                "static validation rejected ({} undischarged obligations): {first}",
+                w.failures().count()
+            ),
+        ));
     }
 
     let src_loaded = crate::link::link_with_object(
@@ -502,21 +502,19 @@ fn check_differential(
     // self-stable certificate on a program whose exploration finds a
     // race is a certifier soundness bug, as is a fresh certificate the
     // trusted checker rejects.
-    if cfg.validation != Validation::Differential {
-        let model = ccc_analysis::infer_lock_model(&lock);
-        let cert = ccc_analysis::infer_rg_cert("client", &arts.clight, entries, &model);
-        if let Some(d) = ccc_analysis::rg_cert_violation(&cert, &arts.clight, entries, &model) {
-            return Err(fail(
-                "rg_cert",
-                format!("inferred certificate rejected by its own checker: {d}"),
-            ));
-        }
-        if cert.is_stable() && src.drf == Some(false) {
-            return Err(fail(
-                "rg_cert",
-                "static RG certificate is self-stable but source exploration found a race",
-            ));
-        }
+    let model = ccc_analysis::infer_lock_model(&lock);
+    let cert = ccc_analysis::infer_rg_cert("client", &arts.clight, entries, &model);
+    if let Some(d) = ccc_analysis::rg_cert_violation(&cert, &arts.clight, entries, &model) {
+        return Err(fail(
+            "rg_cert",
+            format!("inferred certificate rejected by its own checker: {d}"),
+        ));
+    }
+    if cert.is_stable() && src.drf == Some(false) {
+        return Err(fail(
+            "rg_cert",
+            "static RG certificate is self-stable but source exploration found a race",
+        ));
     }
 
     macro_rules! conc_stage {

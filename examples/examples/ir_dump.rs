@@ -5,20 +5,18 @@
 //!
 //! Run with: `cargo run -p ccc-examples --example ir_dump`
 //!
-//! Pass `--validate=static|diff|both` to additionally run the
-//! translation validators over this compilation and print a per-stage
-//! summary table: `static` is the symbolic validator of
-//! `ccc_analysis::transval` (which covers every stage — nothing falls
-//! back), `diff` is the co-execution simulation check of
-//! `ccc_compiler::verif`, and `both` runs the two side by side and
-//! reports any disagreement. Each stage's row shows its verdict(s)
-//! and the wall-clock each checker spent on it. A run that prints a
-//! rejection — a `REJECTED` verdict, a static/differential
-//! disagreement, or an RG certificate the trusted checker refuses —
-//! exits with status 1.
+//! Pass `--validate` to additionally run both translation validators
+//! over this compilation and print a per-stage table: the symbolic
+//! validator of `ccc_analysis::transval` (static) beside the
+//! co-execution simulation check of `ccc_compiler::verif`
+//! (differential). Each row shows both verdicts and the wall-clock
+//! each checker spent on that stage; a row where they disagree is
+//! flagged `DISAGREE`. A run that prints a rejection — a `REJECTED` or
+//! `FAILED` verdict, a disagreement, or an RG certificate the trusted
+//! checker refuses — exits with status 1.
 
-use ccc_analysis::transval::{backend, frontend, passes as tv, Verdict};
-use ccc_analysis::{infer_clight, infer_rtl, validate_with_mode, SimWitness, Validation};
+use ccc_analysis::transval::{backend, frontend, passes as tv};
+use ccc_analysis::{infer_clight, infer_rtl, SimWitness};
 use ccc_clight::ast::{Binop, Expr as E, Function, Stmt};
 use ccc_clight::ClightModule;
 use ccc_compiler::constprop::constprop;
@@ -78,14 +76,13 @@ const STAGES: [(&str, StageValidator); 12] = [
 ];
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut validate: Option<Validation> = None;
+    let mut validate = false;
     for arg in std::env::args().skip(1) {
-        match arg.strip_prefix("--validate=").map(Validation::parse) {
-            Some(Some(mode)) => validate = Some(mode),
-            _ => {
-                eprintln!("usage: ir_dump [--validate=static|diff|both]");
-                std::process::exit(2);
-            }
+        if arg == "--validate" {
+            validate = true;
+        } else {
+            eprintln!("usage: ir_dump [--validate]");
+            std::process::exit(2);
         }
     }
     // sum(n) — a small function with a loop, a local, a call and a print.
@@ -145,78 +142,63 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n(`stack` is the thread-private area; a dynamic run can only touch");
     println!("addresses inside these regions — checked for every corpus program.)");
 
-    if let Some(mode) = validate {
-        println!("\n=== Translation validation (--validate={mode:?}) ===\n");
+    if validate {
+        println!("\n=== Translation validation (static and differential) ===\n");
         let ge = GlobalEnv::new();
+        let ms = |t: Instant| t.elapsed().as_secs_f64() * 1000.0;
 
-        // Per-stage summary: each checker's verdict and the wall-clock
-        // it spent on that stage alone.
-        let run_static = mode != Validation::Differential;
-        let run_diff = mode != Validation::Static;
+        // Per-stage table: each checker's verdict and the wall-clock it
+        // spent on that stage alone.
         println!("  {:<17} {:>22} {:>26}", "stage", "static", "differential");
+        let mut witnesses = Vec::new();
+        let mut disagreements = 0;
         for (stage, validate_stage) in STAGES {
-            let static_cell = if run_static {
-                let t = Instant::now();
-                let w = validate_stage(&arts);
-                let dt = t.elapsed();
-                match w {
-                    Some(w) => {
-                        let verdict = match w.verdict {
-                            Verdict::Validated => "validated",
-                            Verdict::Rejected => "REJECTED",
-                            Verdict::Unsupported => "unsupported",
-                        };
-                        format!("{verdict} {:>8.3} ms", dt.as_secs_f64() * 1000.0)
-                    }
-                    None => "(stage not run)".to_string(),
-                }
-            } else {
-                "—".to_string()
+            let t = Instant::now();
+            let Some(w) = validate_stage(&arts) else {
+                println!("  {stage:<17} {:>22} {:>26}", "(stage not run)", "—");
+                continue;
             };
-            let diff_cell = if run_diff && (stage != "Constprop" || arts.rtl_constprop.is_some()) {
-                let t = Instant::now();
-                let pv = verify_passes_filtered(&arts, &ge, "main", &|p| p == stage);
-                let dt = t.elapsed();
-                let ok = pv.ok();
+            let static_ms = ms(t);
+            let t = Instant::now();
+            let simulated = verify_passes_filtered(&arts, &ge, "main", &|p| p == stage).ok();
+            let diff_ms = ms(t);
+            let agree = w.validated() == simulated;
+            if !agree {
+                disagreements += 1;
+            }
+            println!(
+                "  {stage:<17} {:>22} {:>26}{}",
                 format!(
-                    "{} {:>8.3} ms",
-                    if ok { "simulated OK" } else { "FAILED" },
-                    dt.as_secs_f64() * 1000.0
-                )
-            } else {
-                "—".to_string()
-            };
-            println!("  {stage:<17} {static_cell:>22} {diff_cell:>26}");
+                    "{} {static_ms:>8.3} ms",
+                    if w.validated() {
+                        "validated"
+                    } else {
+                        "REJECTED"
+                    }
+                ),
+                format!(
+                    "{} {diff_ms:>8.3} ms",
+                    if simulated { "simulated OK" } else { "FAILED" }
+                ),
+                if agree { "" } else { "   DISAGREE" }
+            );
+            witnesses.push((w, simulated));
         }
 
-        let report = validate_with_mode(&arts, &ge, "main", mode);
-        if let Some(w) = &report.witness {
-            println!("\nSymbolic validator (per-pass SimWitness):");
-            for sw in &w.witnesses {
-                println!("  {sw}");
-            }
-            if mode == Validation::Static {
-                println!(
-                    "  (differential fallback: {})",
-                    if report.differential.is_none() {
-                        "none — every stage judged statically".to_string()
-                    } else {
-                        format!("ran for {:?}", w.unsupported_passes())
-                    }
-                );
-            }
+        println!("\nSymbolic validator (per-pass SimWitness):");
+        for (w, _) in &witnesses {
+            println!("  {w}");
         }
-        let mut failed = !report.ok();
-        if report.disagreements.is_empty() {
-            println!(
-                "\nverdict: {}",
-                if report.ok() { "accepted" } else { "REJECTED" }
-            );
-        } else {
-            println!("\nstatic/differential DISAGREEMENTS:");
-            for d in &report.disagreements {
-                println!("  {d}");
-            }
+        let accepted = witnesses
+            .iter()
+            .all(|(w, simulated)| w.validated() && *simulated);
+        let mut failed = !accepted;
+        println!(
+            "\nverdict: {}",
+            if accepted { "accepted" } else { "REJECTED" }
+        );
+        if disagreements > 0 {
+            println!("static/differential DISAGREEMENTS: {disagreements} stage(s)");
         }
 
         // The module's rely-guarantee certificate — the per-module

@@ -23,7 +23,7 @@ use ccc_clight::ast::{Expr, Function, Stmt};
 use ccc_clight::gen::gen_concurrent_client;
 use ccc_clight::{ClightLang, ClightModule};
 use ccc_compiler::driver::id_trans;
-use ccc_compiler::{module_hash, CompileCache, RecheckDepth};
+use ccc_compiler::{module_hash, CompileCache, RecheckDepth, CACHE_FORMAT_VERSION};
 use ccc_core::lang::Prog;
 use ccc_core::mem::{FreeList, GlobalEnv, Val};
 use ccc_core::race::check_drf;
@@ -271,6 +271,37 @@ fn certificate_json_round_trips_and_rejects_with_offset() {
     assert!(
         err.offset.is_some(),
         "JSON error must carry its byte offset: {err}"
+    );
+}
+
+/// A hostile `.rgc` file nested 100 000 levels deep is a rejected
+/// certificate, not a stack overflow: the decoder reports the nesting
+/// with a byte offset, and the cache re-infers the honest certificate.
+#[test]
+fn deeply_nested_certificate_is_rejected() {
+    let deep = format!("{{\"module\":{}", "[".repeat(100_000));
+    let err = rg_cert_from_json(&deep).expect_err("hostile nesting accepted");
+    assert_eq!(err.pass, "RgCert");
+    assert!(err.offset.is_some(), "{err}");
+    assert!(err.to_string().contains("nesting"), "{err}");
+
+    let model = lock_model();
+    let (m, _ge, entries) = gen_concurrent_client(5, 2, &["s0", "s1"], false);
+    let dir = tmp_dir("rgcert-deep");
+    let cache = CompileCache::new().with_disk(&dir).expect("disk tier");
+    let (honest, _) = rg_cert_cached("client", &m, &entries, &model, &cache);
+    let path = cache.cert_disk_path(module_hash(&m)).expect("cert path");
+    std::fs::write(&path, format!("ccc-cert {CACHE_FORMAT_VERSION}\n{deep}\n")).expect("poison");
+
+    let cold = CompileCache::new().with_disk(&dir).expect("disk tier");
+    let (cert, outcome) = rg_cert_cached("client", &m, &entries, &model, &cold);
+    let ccc_analysis::CertOutcome::Rejected(why) = &outcome else {
+        panic!("poisoned .rgc served as {outcome:?}");
+    };
+    assert!(why.contains("nesting"), "{why}");
+    assert_eq!(
+        cert, honest,
+        "re-inference must restore the honest certificate"
     );
 }
 

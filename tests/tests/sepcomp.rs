@@ -432,6 +432,46 @@ fn corrupt_disk_entries_are_rejected_and_rewritten() {
     assert!(why.contains("digest"), "{why}");
 }
 
+/// A disk entry whose witness line is nested 100 000 levels deep is
+/// rejected and recompiled — the shape scan stops at the nesting limit
+/// instead of overflowing the stack of the thread serving the hit.
+#[test]
+fn deeply_nested_disk_witness_is_rejected() {
+    let cache = CompileCache::new()
+        .with_disk(tmp_dir("sepcomp_disk_deep"))
+        .expect("disk tier");
+    let m = module_of(12, 6);
+    let cold = cache
+        .compile_cached(&m, &TransvalCertifier, RecheckDepth::Structural)
+        .expect("cold compile");
+    let path = cache.disk_path(module_hash(&m)).expect("disk path");
+    let text = std::fs::read_to_string(&path).expect("entry");
+    let deep = format!("witness {{\"x\":{}", "[".repeat(100_000));
+    let poisoned: String = text
+        .lines()
+        .map(|l| {
+            if l.starts_with("witness ") {
+                format!("{deep}\n")
+            } else {
+                format!("{l}\n")
+            }
+        })
+        .collect();
+    std::fs::write(&path, poisoned).expect("poison entry");
+    cache.clear_memory();
+    let r = cache
+        .compile_cached(&m, &TransvalCertifier, RecheckDepth::Structural)
+        .expect("recovers");
+    let CacheOutcome::Rejected(why) = &r.outcome else {
+        panic!("deeply nested witness served as {:?}", r.outcome);
+    };
+    assert!(why.contains("nesting"), "{why}");
+    assert_eq!(
+        r.witness_json, cold.witness_json,
+        "recompiled witness differs"
+    );
+}
+
 // --- The batch service end to end over a shared cache.
 
 #[test]
