@@ -209,6 +209,10 @@ pub enum CacheError {
     Certify(String),
     /// The disk tier could not be written.
     Io(String),
+    /// The request panicked (in the pipeline or the certifier); the
+    /// payload is the panic message. Only the compile service reports
+    /// this, having caught the panic so its worker lives on.
+    Panicked(String),
 }
 
 impl std::fmt::Display for CacheError {
@@ -217,6 +221,7 @@ impl std::fmt::Display for CacheError {
             CacheError::Compile(e) => write!(f, "compilation failed: {e}"),
             CacheError::Certify(e) => write!(f, "fresh compilation rejected: {e}"),
             CacheError::Io(e) => write!(f, "cache disk tier: {e}"),
+            CacheError::Panicked(e) => write!(f, "request panicked: {e}"),
         }
     }
 }
@@ -294,11 +299,13 @@ pub struct CacheEntry {
 /// change a slot ([`CompileCache::put_entry`], a fresh insert, a disk
 /// promotion) starts a new admission, so a cached verdict always refers
 /// to exactly the witness bytes stored beside it: the map owns its
-/// slots behind the cache mutex and nothing else can mutate them. This
+/// slots behind the cache mutex and nothing else can mutate them, and a
+/// re-check run outside the mutex is recorded only while the slot still
+/// holds the very entry it checked ([`Arc::ptr_eq`]). This
 /// is what makes warm hits ~20x cheaper than a cold compile+certify —
 /// the full witness parse is paid once per admission, not once per hit.
 struct MemEntry {
-    entry: CacheEntry,
+    entry: Arc<CacheEntry>,
     admitted: Option<Result<(), String>>,
 }
 
@@ -452,7 +459,7 @@ impl CompileCache {
             .lock()
             .expect("cache lock")
             .get(&hash)
-            .map(|me| me.entry.clone())
+            .map(|me| CacheEntry::clone(&me.entry))
     }
 
     /// Overwrites the entry for `entry.module_hash` (test hook — this
@@ -463,7 +470,7 @@ impl CompileCache {
         self.mem.lock().expect("cache lock").insert(
             entry.module_hash,
             MemEntry {
-                entry,
+                entry: Arc::new(entry),
                 admitted: None,
             },
         );
@@ -594,42 +601,49 @@ impl CompileCache {
         // re-hashing them compares a value against itself — cross-entry
         // artifact swaps are what the source binding catches. The disk
         // tier, whose artifacts are *recompiled*, does match digests.
-        {
-            let mut mem = self.mem.lock().expect("cache lock");
-            if let Some(me) = mem.get_mut(&hash) {
-                if me.entry.module_hash != hash || me.entry.arts.clight != *m {
-                    rejection = Some("stored source does not match requested module".to_string());
-                } else {
-                    let verdict = match depth {
-                        // Paranoia depth re-derives per hit, always.
-                        RecheckDepth::Full => {
-                            certifier.recheck(&me.entry.arts, &me.entry.witness_json, depth)
-                        }
-                        RecheckDepth::Structural => match &me.admitted {
-                            Some(v) => v.clone(),
-                            None => {
-                                let v = certifier.recheck(
-                                    &me.entry.arts,
-                                    &me.entry.witness_json,
-                                    depth,
-                                );
-                                me.admitted = Some(v.clone());
-                                v
+        //
+        // The re-check runs outside the lock, on the slot's shared entry,
+        // so a slow certifier stalls no other lookup and a panicking one
+        // cannot poison the cache.
+        let slot = self
+            .mem
+            .lock()
+            .expect("cache lock")
+            .get(&hash)
+            .map(|me| (Arc::clone(&me.entry), me.admitted.clone()));
+        if let Some((entry, admitted)) = slot {
+            if entry.module_hash != hash || entry.arts.clight != *m {
+                rejection = Some("stored source does not match requested module".to_string());
+            } else {
+                let verdict = match (depth, admitted) {
+                    (RecheckDepth::Structural, Some(v)) => v,
+                    // Paranoia depth re-derives per hit, always.
+                    _ => {
+                        let v = certifier.recheck(&entry.arts, &entry.witness_json, depth);
+                        if depth == RecheckDepth::Structural {
+                            // Admit only the entry just checked: the slot
+                            // may have been replaced meanwhile.
+                            let mut mem = self.mem.lock().expect("cache lock");
+                            if let Some(me) = mem.get_mut(&hash) {
+                                if Arc::ptr_eq(&me.entry, &entry) {
+                                    me.admitted = Some(v.clone());
+                                }
                             }
-                        },
-                    };
-                    match verdict {
-                        Ok(()) => {
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            return Ok(CachedCompilation {
-                                hash,
-                                arts: me.entry.arts.clone(),
-                                witness_json: me.entry.witness_json.clone(),
-                                outcome: CacheOutcome::Hit,
-                            });
                         }
-                        Err(why) => rejection = Some(why),
+                        v
                     }
+                };
+                match verdict {
+                    Ok(()) => {
+                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        return Ok(CachedCompilation {
+                            hash,
+                            arts: entry.arts.clone(),
+                            witness_json: entry.witness_json.clone(),
+                            outcome: CacheOutcome::Hit,
+                        });
+                    }
+                    Err(why) => rejection = Some(why),
                 }
             }
         }
@@ -662,12 +676,12 @@ impl CompileCache {
                         self.mem.lock().expect("cache lock").insert(
                             hash,
                             MemEntry {
-                                entry: CacheEntry {
+                                entry: Arc::new(CacheEntry {
                                     module_hash: hash,
                                     arts: arts.clone(),
                                     witness_json: stored.witness_json.clone(),
                                     digests,
-                                },
+                                }),
                                 admitted: Some(Ok(())),
                             },
                         );
@@ -708,7 +722,7 @@ impl CompileCache {
         self.mem.lock().expect("cache lock").insert(
             hash,
             MemEntry {
-                entry,
+                entry: Arc::new(entry),
                 admitted: Some(Ok(())),
             },
         );
@@ -840,6 +854,57 @@ mod tests {
                 Expr::Const(2),
             )))),
         )])
+    }
+
+    /// Certifies everything; panics when re-checking anything.
+    struct PanickingRecheck;
+
+    impl Certifier for PanickingRecheck {
+        fn certify(&self, _arts: &CompilationArtifacts) -> Result<String, String> {
+            Ok(String::new())
+        }
+
+        fn recheck(
+            &self,
+            _arts: &CompilationArtifacts,
+            _witness_json: &str,
+            _depth: RecheckDepth,
+        ) -> Result<(), String> {
+            panic!("certifier bug")
+        }
+    }
+
+    #[test]
+    fn a_panicking_recheck_leaves_the_cache_usable() {
+        let cache = CompileCache::new();
+        let (m, other) = (module(50), module(51));
+        let hash = cache
+            .compile_cached(&m, &PanickingRecheck, RecheckDepth::Full)
+            .expect("compiles")
+            .hash;
+        let panics = |depth| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cache.compile_cached(&m, &PanickingRecheck, depth)
+            }))
+            .is_err()
+        };
+        // A `Full` hit re-checks every time; a re-planted (un-admitted)
+        // slot makes a `Structural` hit re-check too.
+        assert!(panics(RecheckDepth::Full));
+        cache.put_entry(cache.entry(hash).expect("cached"));
+        assert!(panics(RecheckDepth::Structural));
+        // The panics left the cache lock unpoisoned: other modules
+        // compile, and the panicking module is served and admitted.
+        let o = cache
+            .compile_cached(&other, &TrustingCertifier, RecheckDepth::Structural)
+            .expect("compiles");
+        assert_eq!(o.outcome, CacheOutcome::Miss);
+        for _ in 0..2 {
+            let hit = cache
+                .compile_cached(&m, &TrustingCertifier, RecheckDepth::Structural)
+                .expect("compiles");
+            assert_eq!(hit.outcome, CacheOutcome::Hit);
+        }
     }
 
     #[test]

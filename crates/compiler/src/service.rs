@@ -13,10 +13,14 @@
 //! Every request runs [`CompileCache::compile_cached`], so the trust
 //! discipline of [`crate::cache`] — hit re-validation, poisoned-entry
 //! eviction — applies unchanged under concurrency: the cache is shared
-//! and thread-safe, the certifier is `Sync`.
+//! and thread-safe, the certifier is `Sync`. A request that panics is
+//! answered with [`CacheError::Panicked`] and counted
+//! ([`CompileService::panics`]); its worker goes on serving.
 
 use crate::cache::{CacheError, CachedCompilation, Certifier, CompileCache, RecheckDepth};
 use ccc_clight::ClightModule;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -57,6 +61,7 @@ struct Job {
 pub struct CompileService {
     tx: Option<SyncSender<Job>>,
     workers: Vec<JoinHandle<()>>,
+    panics: Arc<AtomicU64>,
 }
 
 impl std::fmt::Debug for CompileService {
@@ -78,11 +83,13 @@ impl CompileService {
     ) -> CompileService {
         let (tx, rx) = mpsc::sync_channel::<Job>(cfg.queue_cap.max(1));
         let rx = Arc::new(Mutex::new(rx));
+        let panics = Arc::new(AtomicU64::new(0));
         let workers = (0..cfg.workers.max(1))
             .map(|i| {
                 let rx = Arc::clone(&rx);
                 let cache = Arc::clone(&cache);
                 let certifier = Arc::clone(&certifier);
+                let panics = Arc::clone(&panics);
                 let depth = cfg.depth;
                 std::thread::Builder::new()
                     .name(format!("ccc-compile-{i}"))
@@ -91,7 +98,16 @@ impl CompileService {
                         // for the compilation.
                         let job = rx.lock().expect("service queue lock").recv();
                         let Ok(job) = job else { break };
-                        let res = cache.compile_cached(&job.module, certifier.as_ref(), depth);
+                        // The cache holds no lock across the pipeline
+                        // or the certifier, so after a panic it is as
+                        // usable as before.
+                        let res = catch_unwind(AssertUnwindSafe(|| {
+                            cache.compile_cached(&job.module, certifier.as_ref(), depth)
+                        }))
+                        .unwrap_or_else(|payload| {
+                            panics.fetch_add(1, Ordering::Relaxed);
+                            Err(CacheError::Panicked(panic_message(payload.as_ref())))
+                        });
                         // A dropped reply receiver just means the
                         // client lost interest; the work (and the cache
                         // fill) still happened.
@@ -103,7 +119,15 @@ impl CompileService {
         CompileService {
             tx: Some(tx),
             workers,
+            panics,
         }
+    }
+
+    /// Requests that panicked so far (each answered with
+    /// [`CacheError::Panicked`]).
+    #[must_use]
+    pub fn panics(&self) -> u64 {
+        self.panics.load(Ordering::Relaxed)
     }
 
     /// Enqueues one compile+validate request, blocking while the queue
@@ -155,6 +179,16 @@ impl CompileService {
             let _ = h.join();
         }
     }
+}
+
+/// The message of a caught panic (`panic!` payloads are a `&str` or a
+/// `String`).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|m| (*m).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 impl Drop for CompileService {
@@ -210,6 +244,55 @@ mod tests {
         assert_eq!(stats.hits, 24, "{stats:?}");
         assert_eq!(stats.misses, 0, "{stats:?}");
         assert_eq!(stats.rejected, 0, "{stats:?}");
+    }
+
+    /// Certifies every module except its own, on which it panics.
+    struct PanicsOn(ClightModule);
+
+    impl Certifier for PanicsOn {
+        fn certify(&self, arts: &crate::CompilationArtifacts) -> Result<String, String> {
+            assert!(arts.clight != self.0, "certifier bug");
+            Ok(String::new())
+        }
+
+        fn recheck(
+            &self,
+            _arts: &crate::CompilationArtifacts,
+            _witness_json: &str,
+            _depth: RecheckDepth,
+        ) -> Result<(), String> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn panicking_requests_get_error_replies_and_workers_survive() {
+        let poison = module(99);
+        let svc = CompileService::start(
+            Arc::new(CompileCache::new()),
+            Arc::new(PanicsOn(poison.clone())),
+            &ServiceCfg {
+                workers: 2,
+                queue_cap: 4,
+                depth: RecheckDepth::Structural,
+            },
+        );
+        // More poisoned requests than workers, then clean ones: without
+        // the catch every worker dies and `submit` panics.
+        for round in 0..2 {
+            for _ in 0..5 {
+                match svc.submit(poison.clone()).recv().expect("reply") {
+                    Err(CacheError::Panicked(msg)) => assert!(msg.contains("certifier bug")),
+                    other => panic!("poisoned request answered {other:?}"),
+                }
+            }
+            let replies: Vec<_> = (0..4).map(|i| svc.submit(module(round * 10 + i))).collect();
+            for r in replies {
+                r.recv().expect("reply").expect("clean request compiles");
+            }
+        }
+        assert_eq!(svc.panics(), 10);
+        svc.shutdown();
     }
 
     #[test]

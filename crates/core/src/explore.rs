@@ -20,8 +20,8 @@
 //!    runs it single-threaded. NPDRF runs it on the frontier too, over
 //!    interned non-preemptive worlds ([`INpWorld`],
 //!    [`ParEngine::np_successors_into`]) and without a reduction. Both
-//!    race checkers memoise their predictions per interned
-//!    `(thread, memory, 𝕕)` triple ([`ParEngine::memoised`]).
+//!    race checkers read their predictions off the memoised expansions
+//!    and memoise them per `(thread, memory, 𝕕)` ([`ParEngine::memoised`]).
 //!
 //! 2. **Footprint-directed partial-order reduction**
 //!    ([`Reduction::Ample`]): the paper's own instrumented footprints
@@ -64,7 +64,7 @@
 //! at every worker count, must produce the same verdicts, trace sets,
 //! and footprint unions (`tests/tests/explore.rs`).
 
-use crate::footprint::Footprint;
+use crate::footprint::{AtomicBit, Footprint, TaggedFootprint};
 use crate::lang::{Event, Lang, StepMsg};
 use crate::mem::{Addr, Memory};
 use crate::npworld::NpWorld;
@@ -660,6 +660,21 @@ impl<V: Clone> ShardedCache<V> {
         &self.shards[(fx_hash_of(&k) as usize) & (VISITED_SHARDS - 1)]
     }
 
+    /// Every cached key (test support).
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> Vec<u64> {
+        self.shards
+            .iter()
+            .flat_map(|s| {
+                s.lock()
+                    .expect("cache shard")
+                    .keys()
+                    .copied()
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
     /// The cached value for `k`, if any.
     pub fn get(&self, k: u64) -> Option<V> {
         self.shard(k).lock().expect("cache shard").get(&k).cloned()
@@ -988,17 +1003,17 @@ struct ExpandEntry {
 /// - **Memoized expansion.** A thread's local steps depend only on its
 ///   own state and the memory, both interned — so expansion is cached
 ///   per `(tid, mid)` pair in a [`ShardedCache`], and race prediction
-///   ([`crate::race`]) per `(tid, mid, 𝕕)` triple through
-///   [`ParEngine::memoised`] (the `𝕕` bit tags NPDRF's predictions; DRF
-///   passes 0). Each distinct key runs the interpreter once, however
-///   many worlds share it, which on cache-friendly graphs (many worlds
-///   sharing thread/memory components) is the dominant saving.
+///   ([`crate::race`]) walks those expansions, memoised per `(tid, mid,
+///   𝕕)` triple through [`ParEngine::memoised`] (the `𝕕` bit tags
+///   NPDRF's predictions; DRF passes 0). Each distinct pair runs the
+///   interpreter once, however many worlds share it: on cache-friendly
+///   graphs the dominant saving.
 ///
 /// - **Users.** DRF and footprint collection step interned preemptive
 ///   worlds ([`ParEngine::successors_into`]); NPDRF steps interned
 ///   non-preemptive worlds ([`ParEngine::np_successors_into`]) over the
-///   same pools and expansion memo; trace collection runs the
-///   preemptive engine single-threaded.
+///   same pools and expansion memo; trace collection, alone or fused
+///   with the DRF check, runs the preemptive engine single-threaded.
 ///
 /// - **A cross-worker "ignoring" guard.** The engine refuses an ample
 ///   set whose successor was already claimed for expansion, so every
@@ -1091,6 +1106,21 @@ impl<'a, L: Lang> ParEngine<'a, L> {
     /// with [`Reduction::Off`]. Shared across workers.
     pub fn scoping_ok(&self) -> bool {
         self.scoping_ok.load(Ordering::SeqCst)
+    }
+
+    /// Every interned `(thread, memory)` pair expanded so far, with its
+    /// thread state (test support).
+    #[cfg(test)]
+    pub(crate) fn expanded_pairs(&self) -> Vec<(u32, u32, Arc<ThreadState<L>>)> {
+        let pairs = self.expand.keys().into_iter();
+        let pairs = pairs.map(|k| ((k >> 32) as u32, k as u32));
+        pairs.map(|(t, m)| (t, m, self.threads.get(t))).collect()
+    }
+
+    /// The interned memory `mid` (test support).
+    #[cfg(test)]
+    pub(crate) fn memory(&self, mid: u32) -> Arc<Memory> {
+        self.mems.get(mid)
     }
 
     /// Number of distinct (thread, memory) components interned so far.
@@ -1264,24 +1294,73 @@ impl<'a, L: Lang> ParEngine<'a, L> {
         w.threads.iter().all(|&t| self.threads.get(t).is_done())
     }
 
-    /// `f` of interned thread `tid` and memory `mid`, memoised in `cache`
-    /// per `(tid, mid, flag)`: each distinct triple runs `f` once across
-    /// all workers. `f` must be a pure function of the thread state, the
-    /// memory and `flag` — the race checkers memoise their predictors
-    /// here, with the thread's `𝕕` bit as the flag.
+    /// `f()` memoised in `cache` per `(tid, mid, flag)`: each distinct
+    /// triple runs `f` once across all workers. `f` must be a pure
+    /// function of interned thread `tid`, memory `mid` and `flag` — the
+    /// race checkers memoise their predictions here, with the thread's
+    /// `𝕕` bit as the flag.
     pub fn memoised<V: Clone>(
         &self,
         cache: &ShardedCache<V>,
         tid: u32,
         mid: u32,
         flag: bool,
-        f: impl FnOnce(&ThreadState<L>, &Memory) -> V,
+        f: impl FnOnce() -> V,
     ) -> V {
         let key = memo_key(tid, mid, flag);
         if let Some(v) = cache.get(key) {
             return v;
         }
-        cache.insert(key, f(&self.threads.get(tid), &self.mems.get(mid)))
+        cache.insert(key, f())
+    }
+
+    /// [`crate::race::predict`] of interned pair `(tid, mid)`, read off
+    /// the memoised expansions: the same footprints in the same order.
+    pub(crate) fn predict(&self, tid: u32, mid: u32, atomic_fuel: usize) -> Vec<TaggedFootprint> {
+        let entry = self.entry(tid, mid);
+        let bit = AtomicBit::Inside;
+        let per_step = |rs: &RawSucc| match rs.kind {
+            RawKind::Tau => vec![TaggedFootprint {
+                fp: rs.fp.clone(),
+                bit: AtomicBit::Outside,
+            }],
+            RawKind::EntAtom => self.block_predictions(rs.tid, rs.mid, atomic_fuel, false, bit),
+            _ => Vec::new(),
+        };
+        entry.succs.iter().flat_map(per_step).collect()
+    }
+
+    /// The walk of `race::accumulate_block` over the memoised
+    /// expansions, its footprints tagged with `bit`: one accumulated
+    /// footprint per maximal path of `τ`-steps (and, with
+    /// `through_events`, event steps) from `(tid, mid)` at most `fuel`
+    /// steps long, in the same order. With `through_events` set this is
+    /// [`crate::race::predict_np`].
+    pub(crate) fn block_predictions(
+        &self,
+        tid: u32,
+        mid: u32,
+        fuel: usize,
+        through_events: bool,
+        bit: AtomicBit,
+    ) -> Vec<TaggedFootprint> {
+        let mut out = Vec::new();
+        let mut stack = vec![(tid, mid, Footprint::emp(), fuel)];
+        while let Some((tid, mid, fp, fuel)) = stack.pop() {
+            let entry = (fuel > 0).then(|| self.entry(tid, mid));
+            let before = stack.len();
+            for rs in entry.iter().filter(|e| !e.done).flat_map(|e| &e.succs) {
+                if matches!(rs.kind, RawKind::Tau)
+                    || (through_events && matches!(rs.kind, RawKind::Ev(_)))
+                {
+                    stack.push((rs.tid, rs.mid, fp.union(&rs.fp), fuel - 1));
+                }
+            }
+            if stack.len() == before {
+                out.push(TaggedFootprint { fp, bit });
+            }
+        }
+        out
     }
 
     /// Interns a non-preemptive world.
@@ -1359,7 +1438,7 @@ impl<'a, L: Lang> ParEngine<'a, L> {
 /// claim-before-expand order of [`ws_explore_until`], which is what
 /// makes the guard sound.
 pub(crate) struct ParPreemptive<'a, L: Lang> {
-    engine: ParEngine<'a, L>,
+    pub(crate) engine: ParEngine<'a, L>,
     expanded: VisitedSet<IWorld>,
 }
 
@@ -1373,11 +1452,6 @@ impl<'a, L: Lang> ParPreemptive<'a, L> {
             engine: ParEngine::new(loaded, reduction, hints),
             expanded: VisitedSet::new(VisitedMode::Exact),
         }
-    }
-
-    /// See [`ParEngine::scoping_ok`].
-    pub(crate) fn scoping_ok(&self) -> bool {
-        self.engine.scoping_ok()
     }
 }
 
@@ -1496,7 +1570,7 @@ mod tests {
         let naive = collect_traces(&Preemptive(&l), &cfg).expect("naive");
         let red = ParPreemptive::new(&l, Reduction::Ample, &AmpleHints::default());
         let reduced = collect_traces(&red, &cfg).expect("reduced");
-        assert!(red.scoping_ok());
+        assert!(red.engine.scoping_ok());
         assert!(trace_equiv(&naive, &reduced));
         assert_eq!(naive.traces, reduced.traces, "trace sets must be identical");
         assert!(

@@ -12,15 +12,16 @@
 //! exhaustive checking on bounded programs.
 
 use crate::explore::{
-    ws_explore_until, AmpleHints, FxHashSet, INpWorld, IStep, ParEngine, Reduction, ShardedCache,
-    VisitedSet,
+    ws_explore_until, AmpleHints, FxHashSet, INpWorld, IStep, IWorld, ParEngine, ParPreemptive,
+    Reduction, ShardedCache, VisitedSet,
 };
 use crate::footprint::{AtomicBit, Footprint, TaggedFootprint};
 use crate::lang::{Lang, StepMsg};
 use crate::mem::Memory;
 use crate::npworld::{NpStep, NpWorld};
-use crate::refine::ExploreCfg;
+use crate::refine::{collect_traces, ExploreCfg, Preemptive, Semantics, SuccStep, TraceSet};
 use crate::world::{GStep, LoadError, Loaded, ThreadId, ThreadState, ThreadStep};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Predictions memoised per interned `(thread, memory, 𝕕)` triple.
@@ -222,7 +223,8 @@ fn find_conflict<P: AsRef<[TaggedFootprint]>>(preds: &[P]) -> Option<RaceWitness
 /// [`ParEngine`] on the work-stealing frontier with `cfg.threads`
 /// workers over a `cfg.visited` visited set: the reduction runs inside
 /// each worker, widened by `cfg.hints`, and each claimed world is
-/// race-checked against memoised per-`(thread, memory)` predictions. A
+/// race-checked against predictions read off the engine's memoised
+/// per-`(thread, memory)` expansions. A
 /// race found in the reduced graph is always real (every reduced path
 /// is a path of the full graph); a DRF verdict also relies on the
 /// scoping discipline and the hints, so if the engine's monitor saw
@@ -232,7 +234,8 @@ fn find_conflict<P: AsRef<[TaggedFootprint]>>(preds: &[P]) -> Option<RaceWitness
 /// deterministic whenever the exploration is not truncated
 /// (finding-a-race is monotone), but with more than one worker the
 /// reported witness and state count of a racy program depend on
-/// scheduling — only a full DRF run visits the whole graph.
+/// scheduling — only a full DRF run visits the whole graph. For the
+/// trace set too, from the same walk, see [`check_drf_with_traces`].
 ///
 /// # Errors
 ///
@@ -274,16 +277,9 @@ where
         cfg.max_states,
         |_wid| {
             let mut steps: Vec<IStep> = Vec::new();
-            let mut preds = Vec::new();
             move |w, acc: &mut Option<RaceWitness>, buf| {
                 if !w.atom {
-                    preds.clear();
-                    preds.extend(w.threads.iter().map(|&tid| {
-                        eng_ref.memoised(cache_ref, tid, w.mem, false, |t, m| {
-                            predict(loaded, t, m, cfg).into()
-                        })
-                    }));
-                    merge_witness(acc, find_conflict(&preds));
+                    merge_witness(acc, race_at(eng_ref, cache_ref, w, cfg.atomic_fuel));
                 }
                 eng_ref.successors_into(w, visited_ref, &mut steps);
                 buf.extend(steps.drain(..).filter_map(|s| match s {
@@ -308,6 +304,107 @@ where
 // The benchmark package (`perfbench/`) still imports the old name.
 #[doc(hidden)]
 pub use self::check_drf as check_drf_par;
+
+/// The `Race` rule at interned world `w` (atomic bit 0), over
+/// predictions read off the engine's memo and memoised in `cache`.
+fn race_at<L: Lang>(
+    eng: &ParEngine<'_, L>,
+    cache: &PredCache,
+    w: &IWorld,
+    atomic_fuel: usize,
+) -> Option<RaceWitness> {
+    let preds: Vec<_> = w
+        .threads
+        .iter()
+        .map(|&tid| {
+            eng.memoised(cache, tid, w.mem, false, || {
+                eng.predict(tid, w.mem, atomic_fuel).into()
+            })
+        })
+        .collect();
+    find_conflict(&preds)
+}
+
+/// The reduced trace walk with the `Race` rule checked at every world
+/// it expands whose atomic bit is 0, until the first race.
+struct RaceChecked<'a, L: Lang> {
+    sem: ParPreemptive<'a, L>,
+    atomic_fuel: usize,
+    cache: PredCache,
+    race: RefCell<Option<RaceWitness>>,
+}
+
+impl<L: Lang> Semantics for RaceChecked<'_, L> {
+    type State = IWorld;
+
+    fn initials(&self) -> Result<Vec<IWorld>, LoadError> {
+        self.sem.initials()
+    }
+
+    fn successors(&self, w: &IWorld) -> Vec<SuccStep<IWorld>> {
+        if !w.atom && self.race.borrow().is_none() {
+            *self.race.borrow_mut() = race_at(&self.sem.engine, &self.cache, w, self.atomic_fuel);
+        }
+        self.sem.successors(w)
+    }
+
+    fn is_done(&self, w: &IWorld) -> bool {
+        self.sem.is_done(w)
+    }
+}
+
+/// [`collect_traces_preemptive`](crate::refine::collect_traces_preemptive)
+/// and [`check_drf`] from one exploration: the reduced trace walk also
+/// checks the `Race` rule at every world it expands whose atomic bit is
+/// 0. The trace set (with `expansions` and
+/// `truncated`) is exactly `collect_traces_preemptive`'s, and the
+/// verdict is `check_drf`'s wherever that is untruncated: the walk
+/// explores a reduced graph under the same claim-before-expand cycle
+/// guard (DESIGN.md, "One walk for traces and DRF"). The report's
+/// `states` is the walk's `expansions`. [`Reduction::Off`] runs the two
+/// oracles; a tripped scoping monitor re-collects the traces, and a
+/// clean verdict, on the oracles; a walk truncated without a race hands
+/// the verdict to `check_drf` (on `cfg.threads` workers), so a race past
+/// the walk's budget is still found.
+///
+/// # Errors
+///
+/// Propagates `Load` failures.
+pub fn check_drf_with_traces<L>(
+    loaded: &Loaded<L>,
+    cfg: &ExploreCfg,
+) -> Result<(TraceSet, DrfReport), LoadError>
+where
+    L: Lang + Sync,
+    L::Module: Sync,
+    L::Core: Send + Sync,
+{
+    if cfg.reduction == Reduction::Off {
+        let ts = collect_traces(&Preemptive(loaded), cfg)?;
+        return Ok((ts, check_drf_naive(loaded, cfg)?));
+    }
+    let sem = RaceChecked {
+        sem: ParPreemptive::new(loaded, cfg.reduction, &cfg.hints),
+        atomic_fuel: cfg.atomic_fuel,
+        cache: PredCache::new(),
+        race: RefCell::new(None),
+    };
+    let mut ts = collect_traces(&sem, cfg)?;
+    let (race, scoped) = (sem.race.into_inner(), sem.sem.engine.scoping_ok());
+    let drf = match race {
+        None if !scoped => check_drf_naive(loaded, cfg)?,
+        None if ts.truncated => check_drf(loaded, cfg)?,
+        race => DrfReport {
+            race,
+            states: ts.expansions,
+            truncated: ts.truncated,
+        },
+    };
+    if !scoped {
+        ts = collect_traces(&Preemptive(loaded), cfg)?;
+    }
+    Ok((ts, drf))
+}
 
 /// The exhaustive oracle: plain DFS over owned worlds, no interning, no
 /// reduction. Kept verbatim so the engine has a trusted baseline to
@@ -504,7 +601,8 @@ fn merge_fps(total: &mut Vec<Footprint>, part: Vec<Footprint>) {
 /// ([`ParEngine::intern_np_world`]) stepped over the memoised
 /// per-`(thread, memory)` expansions ([`ParEngine::np_successors_into`])
 /// on the work-stealing frontier, with `cfg.threads` workers over a
-/// `cfg.visited` visited set, and [`predict_np`] memoised per interned
+/// `cfg.visited` visited set, and [`predict_np`]'s block predictions
+/// read off the memoised expansions and memoised per interned
 /// `(thread, memory, 𝕕)` triple. The non-preemptive graph is already
 /// interleaving-minimal (switch points only at atomic boundaries and
 /// termination), so the engine visits exactly the oracle's worlds:
@@ -542,8 +640,11 @@ where
             move |w: &INpWorld, acc: &mut Option<RaceWitness>, buf: &mut Vec<INpWorld>| {
                 preds.clear();
                 preds.extend(w.threads.iter().zip(&w.dbits).map(|(&tid, &d)| {
-                    eng_ref.memoised(cache_ref, tid, w.mem, d, |t, m| {
-                        predict_np(loaded, t, m, d, cfg).into()
+                    let bit = [AtomicBit::Outside, AtomicBit::Inside][usize::from(d)];
+                    eng_ref.memoised(cache_ref, tid, w.mem, d, || {
+                        eng_ref
+                            .block_predictions(tid, w.mem, cfg.atomic_fuel, true, bit)
+                            .into()
                     })
                 }));
                 merge_witness(acc, find_conflict(&preds));
@@ -615,7 +716,7 @@ mod tests {
     use crate::explore::VisitedMode;
     use crate::lang::Prog;
     use crate::toy::{toy_globals, toy_module, ToyInstr, ToyLang};
-    use ToyInstr::{Add, Bnz, Const, EntAtom, ExtAtom, Jmp, Ret};
+    use ToyInstr::{Add, Bnz, Const, EntAtom, ExtAtom, Jmp, Print, Ret};
 
     fn ld(global: &str) -> ToyInstr {
         ToyInstr::LoadG(global.into())
@@ -719,6 +820,72 @@ mod tests {
         for l in [unsync_writers(), atomic_writers()] {
             let (d, n) = verdicts(&l);
             assert_eq!(d, n, "DRF ⟺ NPDRF violated");
+        }
+    }
+
+    #[test]
+    fn engine_predictions_equal_the_interpreters() {
+        // Every `(thread, memory)` pair the engine expands on the
+        // programs above, preemptive and non-preemptive, at the default
+        // atomic fuel and at one that cuts blocks short: the predictions
+        // read off the memo are `predict`'s and `predict_np`'s, in order.
+        let a = vec![EntAtom, ld("g"), Bnz(5), Const(1), st("x"), ExtAtom, Ret(0)];
+        let b = vec![EntAtom, Const(1), st("g"), ExtAtom, Ret(0)];
+        let progs = [
+            unsync_writers(),
+            atomic_writers(),
+            twins(vec![ld("x"), Ret(0)]),
+            twins(vec![Const(0), EntAtom, Jmp(4), ExtAtom, st("x"), Jmp(3)]),
+            // An event inside the block: `Predict-1` stops at it.
+            twins(vec![EntAtom, ld("x"), Print, st("x"), ExtAtom, Ret(0)]),
+            loaded(&[("a", a), ("b", b)], &[("g", 0), ("x", 0)], &["a", "b"]),
+        ];
+        for (i, l) in progs.iter().enumerate() {
+            for atomic_fuel in [64, 2] {
+                let cfg = ExploreCfg {
+                    atomic_fuel,
+                    ..ExploreCfg::default()
+                };
+                let eng = ParEngine::new(l, Reduction::Off, &AmpleHints::default());
+                let visited = VisitedSet::new(VisitedMode::Exact);
+                let mut stack = vec![eng.load().expect("load")];
+                let mut steps = Vec::new();
+                while let Some(w) = stack.pop() {
+                    if visited.insert(&w) {
+                        eng.successors_into(&w, &visited, &mut steps);
+                        stack.extend(steps.drain(..).filter_map(|s| match s {
+                            IStep::Next { world, .. } => Some(world),
+                            IStep::Abort => None,
+                        }));
+                    }
+                }
+                let np_visited = VisitedSet::new(VisitedMode::Exact);
+                let mut np_stack: Vec<INpWorld> = (0..2)
+                    .map(|t| eng.intern_np_world(l.np_load_with_first(t).expect("load")))
+                    .collect();
+                while let Some(w) = np_stack.pop() {
+                    if np_visited.insert(&w) {
+                        eng.np_successors_into(&w, &mut np_stack);
+                    }
+                }
+                let pairs = eng.expanded_pairs();
+                assert!(pairs.len() > 4, "program {i}: {} pairs", pairs.len());
+                for (tid, mid, t) in pairs {
+                    let m = eng.memory(mid);
+                    assert_eq!(
+                        eng.predict(tid, mid, atomic_fuel),
+                        predict(l, &t, &m, &cfg),
+                        "program {i}, pair ({tid}, {mid}), fuel {atomic_fuel}"
+                    );
+                    for (d, bit) in [(false, AtomicBit::Outside), (true, AtomicBit::Inside)] {
+                        assert_eq!(
+                            eng.block_predictions(tid, mid, atomic_fuel, true, bit),
+                            predict_np(l, &t, &m, d, &cfg),
+                            "program {i}, pair ({tid}, {mid}), 𝕕 {d}, fuel {atomic_fuel}"
+                        );
+                    }
+                }
+            }
         }
     }
 

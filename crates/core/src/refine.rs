@@ -487,7 +487,7 @@ pub fn collect_traces_preemptive<L: Lang>(
     }
     let sem = ParPreemptive::new(loaded, cfg.reduction, &cfg.hints);
     let ts = collect_traces(&sem, cfg)?;
-    if sem.scoping_ok() {
+    if sem.engine.scoping_ok() {
         Ok(ts)
     } else {
         collect_traces(&Preemptive(loaded), cfg)

@@ -33,7 +33,7 @@ use ccc_compiler::{
 use ccc_core::footprint::{fp_match, Mu};
 use ccc_core::lang::Lang;
 use ccc_core::mem::GlobalEnv;
-use ccc_core::race::check_drf;
+use ccc_core::race::check_drf_with_traces;
 use ccc_core::refine::{collect_traces_preemptive, trace_equiv, ExploreCfg, Terminal, Trace};
 use ccc_core::world::{replay_schedule, run_main_traced, run_schedule_recorded, Loaded, RunEnd};
 use ccc_core::{Reduction, VisitedMode};
@@ -65,7 +65,11 @@ pub enum Validation {
 pub struct OracleCfg {
     /// Fuel for the deterministic per-stage runs (sequential shape).
     pub seq_fuel: usize,
-    /// Exploration budget for the concurrent shape.
+    /// Exploration budget for the concurrent shape. Each stage's trace
+    /// set and DRF verdict come from one single-threaded walk
+    /// ([`check_drf_with_traces`]), as does the TSO trace collection;
+    /// `explore.threads` applies only to the `check_drf` that walk falls
+    /// back to when it is truncated without finding a race.
     pub explore: ExploreCfg,
     /// Step bound for the schedule record/replay probe.
     pub schedule_steps: usize,
@@ -88,8 +92,8 @@ impl Default for OracleCfg {
             // blowup under 0.12 s: a truncated Asm/TSO trace collection,
             // the slowest over the 80 concurrent inputs of
             // `stream_input(0..300)` on a 2-core Xeon.
-            // Ample reduction + the work-stealing frontier keep the
-            // per-stage cost low; `Exact` visited storage (no hash
+            // Ample reduction and one walk per stage for traces and
+            // DRF keep the per-stage cost low; `Exact` visited storage (no hash
             // compaction) because a fingerprint collision could hide a
             // state and turn a genuine disagreement into silent
             // agreement.
@@ -216,7 +220,8 @@ fn compare_seq(stage: &str, src: &SeqObs, tgt: &SeqObs, mu: &Mu) -> Result<(), F
 }
 
 /// Exhaustive observation of one linked concurrent stage: trace set and
-/// DRF verdict. Each component is `None` when its exploration budget
+/// DRF verdict, from one exploration ([`check_drf_with_traces`]). Each
+/// component is `None` when its exploration budget
 /// was exhausted — inconclusive, so no comparison is made against it.
 /// The two are tracked separately because they truncate differently: a
 /// racing spin loop can blow up the trace set while the race itself is
@@ -232,8 +237,7 @@ where
     L::Module: Sync,
     L::Core: Send + Sync,
 {
-    let ts = collect_traces_preemptive(loaded, cfg).map_err(|e| format!("{e:?}"))?;
-    let drf = check_drf(loaded, cfg).map_err(|e| format!("{e:?}"))?;
+    let (ts, drf) = check_drf_with_traces(loaded, cfg).map_err(|e| format!("{e:?}"))?;
     Ok(ConcObs {
         traces: (!ts.truncated).then_some(ts),
         // A found race is a definite verdict even if the exploration

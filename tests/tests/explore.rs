@@ -21,8 +21,11 @@
 //! "ignoring problem") must ample-loop through a silent spin, missing a
 //! race and the prints every other engine reports — evidence that this
 //! battery would catch an unsound independence relation or cycle
-//! guard. A last test pins the expansion and trace counts of the fuzz
-//! oracle's TSO trace collection on three stream inputs.
+//! guard. Both mutants are also caught through the fused trace-and-DRF
+//! walk (`check_drf_with_traces`), which must otherwise return exactly
+//! the separate trace collection and the separate DRF verdict. A last
+//! test pins the expansion and trace counts of the fuzz oracle's TSO
+//! trace collection on three stream inputs.
 //!
 //! `Reduction::Off` ignores `threads`: there is one oracle, and it is
 //! sequential.
@@ -34,7 +37,7 @@ use ccc_clight::{ClightLang, ClightModule};
 use ccc_compiler::compile_with_artifacts_mutated;
 use ccc_core::lang::{Lang, Prog};
 use ccc_core::mem::{GlobalEnv, Val};
-use ccc_core::race::{check_drf, check_npdrf, collect_footprints};
+use ccc_core::race::{check_drf, check_drf_with_traces, check_npdrf, collect_footprints};
 use ccc_core::refine::{collect_traces_preemptive, ExploreCfg};
 use ccc_core::toy::{toy_globals, toy_module, ToyInstr, ToyLang};
 use ccc_core::world::Loaded;
@@ -154,6 +157,22 @@ where
             ts_naive.traces, ts_ample.traces,
             "{name}: trace sets (ample)"
         );
+        // One walk for both facts: the trace set of the separate
+        // collection, and the DRF verdict of the separate check.
+        for (cfg, ts) in [(&naive_cfg, &ts_naive), (&ample_cfg, &ts_ample)] {
+            let (fused_ts, fused_drf) = check_drf_with_traces(loaded, cfg).expect("loads");
+            assert_eq!(
+                &fused_ts, ts,
+                "{name}: fused trace walk ({:?})",
+                cfg.reduction
+            );
+            assert_eq!(
+                fused_drf.is_drf(),
+                naive.is_drf(),
+                "{name}: fused DRF verdict ({:?})",
+                cfg.reduction
+            );
+        }
     }
 }
 
@@ -442,6 +461,16 @@ fn overbroad_ample_condition_is_caught_by_the_differential() {
         mutated.is_drf(),
         "differential testing flags the unsound reduction"
     );
+
+    // The fused trace-and-DRF walk is caught the same way.
+    let fused = |r| check_drf_with_traces(&loaded, &cfg_with(r, 1)).expect("loads");
+    assert!(!fused(Reduction::Ample).1.is_drf());
+    let (ts, drf) = fused(Reduction::AmpleOverbroad);
+    assert!(!ts.truncated);
+    assert!(
+        drf.is_drf(),
+        "the fused walk under the seeded commutativity bug must miss the race"
+    );
 }
 
 #[test]
@@ -531,6 +560,19 @@ fn skipping_cycle_reexpansion_is_caught_by_the_differential() {
         naive.is_drf(),
         mutated.is_drf(),
         "differential testing flags the unsound cycle handling"
+    );
+
+    // The fused trace-and-DRF walk is caught the same way, on both facts.
+    let fused = |r| check_drf_with_traces(&loaded, &cfg_with(r, 1)).expect("loads");
+    let (sound_ts, sound_drf) = fused(Reduction::Ample);
+    assert!(!sound_drf.is_drf(), "the fused walk keeps the race");
+    assert!(sound_ts.traces.iter().any(|t| !t.events.is_empty()));
+    let (ts, drf) = fused(Reduction::AmpleIgnoreCycles);
+    assert!(!ts.truncated);
+    assert!(
+        drf.is_drf() && ts.traces.iter().all(|t| t.events.is_empty()),
+        "the fused walk under the seeded cycle-skipping bug must miss the \
+         race and every print"
     );
 }
 
