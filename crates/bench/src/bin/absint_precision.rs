@@ -244,7 +244,6 @@ fn main() {
         fuel: 400,
         max_states: 2_000_000,
         reduction: Reduction::Ample,
-        threads: 1,
         ..Default::default()
     };
     let specs: &[(usize, usize)] = if smoke {

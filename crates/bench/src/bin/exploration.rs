@@ -1,36 +1,30 @@
 //! Exploration-engine evaluation: exhaustive enumeration vs the
-//! footprint-directed ample-set reduction, at one worker and on the
-//! parallel frontier.
+//! footprint-directed ample-set reduction on the memoised engine.
 //!
-//! Every program is explored four ways:
+//! Every program is explored three ways:
 //!
 //! * **naive** — `Reduction::Off`, the exhaustive sequential oracle;
-//! * **ample** — `Reduction::Ample` on the engine at one worker: threads
-//!   whose next steps are all silent and scoped to their own free-list
-//!   region are expanded alone;
+//! * **ample** — `Reduction::Ample` on the engine (interned
+//!   thread/memory components, memoised per-`(thread, memory)`
+//!   expansions, early exit on the first race witness): threads whose
+//!   next steps are all silent and scoped to their own free-list region
+//!   are expanded alone;
 //! * **absint** — the same, plus escape-analysis hints
 //!   ([`ccc_analysis::ample_hints`]) in `ExploreCfg::hints`: globals the
 //!   abstract interpretation proves thread-local count as private, so
 //!   grinds on them collapse too (the engine monitors the hints and
-//!   falls back on any violation);
-//! * **par** — the same engine on the work-stealing frontier (shared
-//!   fingerprint visited set, interned thread/memory components,
-//!   memoised per-`(thread, memory)` expansions, early exit on the
-//!   first race witness), measured at 1, 2, and 4 workers.
+//!   falls back on any violation).
 //!
 //! The verdicts must be identical everywhere — the reduction preserves
-//! race reachability and trace sets, and the parallel merge is
-//! commutative — so the table is purely about cost: states visited and
-//! wall-clock. On the 4-thread private-prefix programs the ample
-//! reduction must visit at least 5x fewer states than the oracle, for
-//! both `check_drf` and `collect_traces`; on every race-free program
-//! the hinted reduction must visit no more states than the plain one,
-//! and at least one program must improve by 2x or better. The parallel
-//! engine must beat the exhaustive oracle on wall-clock on every row and
-//! stay within 10x of the one-worker ample state count at every worker
-//! count (the reduction composes with the parallel frontier instead of
-//! being lost to it). On the corpus rows, `check_npdrf` on the engine
-//! (interned non-preemptive worlds, memoised per-`(thread, memory, 𝕕)`
+//! race reachability and trace sets — so the table is purely about
+//! cost: states visited and wall-clock. On the 4-thread private-prefix
+//! programs the ample reduction must visit at least 5x fewer states
+//! than the oracle, for both `check_drf` and `collect_traces`; on every
+//! race-free program the hinted reduction must visit no more states
+//! than the plain one, and at least one program must improve by 2x or
+//! better. The engine must beat the exhaustive oracle on wall-clock on
+//! every row. On the corpus rows, `check_npdrf` on the engine (interned
+//! non-preemptive worlds, memoised per-`(thread, memory, 𝕕)`
 //! predictions) must never lose to the oracle on wall-clock, and on
 //! race-free rows must visit exactly the oracle's states. The run
 //! aborts otherwise.
@@ -40,9 +34,8 @@
 //! heap.
 //!
 //! Run with: `cargo run --release -p ccc-bench --bin exploration`
-//! (`--smoke` shrinks the corpus for CI; `--workers N` replaces the
-//! default 1/2/4 worker ladder with the single count `N`). Results are
-//! also written to `BENCH_exploration.json` in the current directory.
+//! (`--smoke` shrinks the corpus for CI). Results are also written to
+//! `BENCH_exploration.json` in the current directory.
 
 use ccc_analysis::{ample_hints, infer_lock_model, LockModel};
 use ccc_bench::corpus::concurrent_source_with;
@@ -100,37 +93,19 @@ struct Row {
     drf_naive: Run,
     drf_ample: Run,
     drf_absint: Run,
-    /// POR-composed work-stealing runs, one per worker count in the
-    /// ladder; `drf_par` in the JSON is the last (widest) entry.
-    par_workers: Vec<(usize, Run)>,
     traces: Option<(Run, Run)>, // (naive, ample), toy programs only
-    npdrf: Option<(Run, Run)>,  // (serial, par), corpus programs only
+    npdrf: Option<(Run, Run)>,  // (oracle, engine), corpus programs only
 }
 
 impl Row {
-    /// The widest-ladder parallel run (the headline `drf_par` figure).
-    fn par(&self) -> &Run {
-        &self.par_workers.last().expect("non-empty worker ladder").1
-    }
-
     fn json(&self) -> String {
         let mut s = String::new();
         let run = |r: &Run| format!("{{\"states\": {}, \"ms\": {:.3}}}", r.states, r.ms);
-        let per_worker: Vec<String> = self
-            .par_workers
-            .iter()
-            .map(|(w, r)| {
-                format!(
-                    "{{\"workers\": {w}, \"states\": {}, \"ms\": {:.3}}}",
-                    r.states, r.ms
-                )
-            })
-            .collect();
         write!(
             s,
             "    {{\"name\": \"{}\", \"threads\": {}, \"drf\": {}, \
-             \"drf_naive\": {}, \"drf_ample\": {}, \"drf_absint\": {}, \"drf_par\": {}, \
-             \"drf_par_workers\": [{}], \"par_vs_naive_x\": {:.2}, \
+             \"drf_naive\": {}, \"drf_ample\": {}, \"drf_absint\": {}, \
+             \"ample_vs_naive_x\": {:.2}, \
              \"drf_reduction_x\": {:.2}, \"absint_reduction_x\": {:.2}",
             self.name,
             self.threads,
@@ -138,9 +113,7 @@ impl Row {
             run(&self.drf_naive),
             run(&self.drf_ample),
             run(&self.drf_absint),
-            run(self.par()),
-            per_worker.join(", "),
-            self.drf_naive.ms / self.par().ms.max(1e-6),
+            self.drf_naive.ms / self.drf_ample.ms.max(1e-6),
             self.drf_naive.states as f64 / self.drf_ample.states.max(1) as f64,
             self.drf_ample.states as f64 / self.drf_absint.states.max(1) as f64,
         )
@@ -155,8 +128,14 @@ impl Row {
             )
             .unwrap();
         }
-        if let Some((ser, par)) = &self.npdrf {
-            write!(s, ", \"npdrf\": {}, \"npdrf_par\": {}", run(ser), run(par)).unwrap();
+        if let Some((oracle, engine)) = &self.npdrf {
+            write!(
+                s,
+                ", \"npdrf\": {}, \"npdrf_engine\": {}",
+                run(oracle),
+                run(engine)
+            )
+            .unwrap();
         }
         s.push('}');
         s
@@ -245,27 +224,20 @@ fn clight_private(threads: usize, depth: usize) -> (Loaded<ClightLang>, AmpleHin
     (loaded, hints)
 }
 
-/// Runs the four DRF explorations (plus optional trace / NPDRF runs)
+/// Runs the three DRF explorations (plus optional trace / NPDRF runs)
 /// on one program and cross-checks every verdict. `hints` feeds the
 /// absint run; pass empty hints for programs without escape results
 /// (the absint run then coincides with the plain ample one).
-fn measure<L>(
+fn measure<L: Lang>(
     name: &str,
     loaded: &Loaded<L>,
     cfg: &ExploreCfg,
-    ladder: &[usize],
     hints: &AmpleHints,
     with_traces: bool,
     with_npdrf: bool,
-) -> Row
-where
-    L: Lang + Sync,
-    L::Module: Sync,
-    L::Core: Send + Sync,
-{
+) -> Row {
     let naive_cfg = ExploreCfg {
         reduction: Reduction::Off,
-        threads: 1,
         ..cfg.clone()
     };
     let ample_cfg = ExploreCfg {
@@ -276,13 +248,6 @@ where
         hints: hints.clone(),
         ..ample_cfg.clone()
     };
-    // The same engine on the work-stealing frontier, with the compact
-    // fingerprint visited set.
-    let par_cfg = |w: usize| ExploreCfg {
-        threads: w,
-        ..ample_cfg.clone()
-    };
-    let top = *ladder.last().expect("non-empty worker ladder");
 
     let (naive, t_naive) = timed(|| check_drf(loaded, &naive_cfg).expect("loads"));
     trim_heap();
@@ -303,33 +268,11 @@ where
         "{name}: hinted reduction changed the DRF verdict"
     );
 
-    let mut par_workers = Vec::new();
-    for &w in ladder {
-        let (par, t_par) = timed(|| check_drf(loaded, &par_cfg(w)).expect("loads"));
-        assert!(
-            !par.truncated,
-            "{name}: parallel exploration truncated at {w} workers"
-        );
-        assert_eq!(
-            naive.is_drf(),
-            par.is_drf(),
-            "{name}: parallel frontier changed the DRF verdict at {w} workers"
-        );
-        par_workers.push((
-            w,
-            Run {
-                states: par.states,
-                ms: t_par,
-            },
-        ));
-    }
-
     // Footprint unions must also survive every engine.
     let fp_naive = collect_footprints(loaded, &naive_cfg).expect("loads");
     trim_heap();
     let fp_ample = collect_footprints(loaded, &ample_cfg).expect("loads");
     let fp_absint = collect_footprints(loaded, &absint_cfg).expect("loads");
-    let fp_par = collect_footprints(loaded, &par_cfg(top)).expect("loads");
     assert_eq!(
         fp_naive.fps, fp_ample.fps,
         "{name}: footprint unions differ (ample)"
@@ -337,10 +280,6 @@ where
     assert_eq!(
         fp_naive.fps, fp_absint.fps,
         "{name}: footprint unions differ (absint)"
-    );
-    assert_eq!(
-        fp_naive.fps, fp_par.fps,
-        "{name}: footprint unions differ (par)"
     );
 
     let traces = with_traces.then(|| {
@@ -370,30 +309,30 @@ where
     });
 
     let npdrf = with_npdrf.then(|| {
-        let (np_ser, t_s) = timed(|| check_npdrf(loaded, &naive_cfg).expect("loads"));
+        let (np_oracle, t_o) = timed(|| check_npdrf(loaded, &naive_cfg).expect("loads"));
         trim_heap();
-        let (np_par, t_p) = timed(|| check_npdrf(loaded, &par_cfg(top)).expect("loads"));
+        let (np_engine, t_e) = timed(|| check_npdrf(loaded, &ample_cfg).expect("loads"));
         assert_eq!(
-            np_ser.is_drf(),
-            np_par.is_drf(),
-            "{name}: parallel frontier changed the NPDRF verdict"
+            np_oracle.is_drf(),
+            np_engine.is_drf(),
+            "{name}: the engine changed the NPDRF verdict"
         );
         // The non-preemptive graph has no reduction: a race-free run
         // (explored to exhaustion) visits exactly the oracle's worlds.
-        if np_ser.is_drf() {
+        if np_oracle.is_drf() {
             assert_eq!(
-                np_par.states, np_ser.states,
+                np_engine.states, np_oracle.states,
                 "{name}: NPDRF engine and oracle visited different worlds"
             );
         }
         (
             Run {
-                states: np_ser.states,
-                ms: t_s,
+                states: np_oracle.states,
+                ms: t_o,
             },
             Run {
-                states: np_par.states,
-                ms: t_p,
+                states: np_engine.states,
+                ms: t_e,
             },
         )
     });
@@ -414,7 +353,6 @@ where
             states: absint.states,
             ms: t_absint,
         },
-        par_workers,
         traces,
         npdrf,
     }
@@ -422,20 +360,10 @@ where
 
 fn main() {
     let mut smoke = false;
-    let mut ladder: Vec<usize> = vec![1, 2, 4];
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+    for a in std::env::args().skip(1) {
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--workers" => {
-                let n: usize = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--workers takes a positive integer");
-                assert!(n > 0, "--workers takes a positive integer");
-                ladder = vec![n];
-            }
-            other => panic!("unknown flag {other:?} (expected --smoke or --workers N)"),
+            other => panic!("unknown flag {other:?} (expected --smoke)"),
         }
     }
     let cfg = ExploreCfg {
@@ -444,11 +372,9 @@ fn main() {
         ..Default::default()
     };
 
+    println!("Exploration engines: naive vs ample vs escape-hinted ample");
     println!(
-        "Exploration engines: naive vs ample vs escape-hinted ample vs work-stealing parallel (workers: {ladder:?})"
-    );
-    println!(
-        "{:<22} {:>3} {:>5} | {:>9} {:>9} {:>7} | {:>9} {:>6} | {:>9} {:>9} | {:>9} {:>9}",
+        "{:<22} {:>3} {:>5} | {:>9} {:>9} {:>7} | {:>9} {:>6} | {:>9} {:>9} {:>9}",
         "program",
         "thr",
         "drf",
@@ -459,10 +385,9 @@ fn main() {
         "abs_x",
         "ms_naive",
         "ms_ample",
-        "st_par",
-        "ms_par"
+        "ms_abs"
     );
-    println!("{}", "-".repeat(126));
+    println!("{}", "-".repeat(115));
 
     let mut rows = Vec::new();
 
@@ -493,7 +418,6 @@ fn main() {
             &name,
             &loaded,
             &cfg,
-            &ladder,
             &AmpleHints::default(),
             with_traces,
             false,
@@ -512,7 +436,7 @@ fn main() {
     for &(threads, depth) in absint_specs {
         let name = format!("absint/{threads}t-d{depth}");
         let (loaded, hints) = clight_private(threads, depth);
-        rows.push(measure(&name, &loaded, &cfg, &ladder, &hints, false, false));
+        rows.push(measure(&name, &loaded, &cfg, &hints, false, false));
     }
 
     // Generated Clight clients + the CImp lock object: cross-language
@@ -535,14 +459,13 @@ fn main() {
         );
         let (loaded, client, ge, entries) = concurrent_source_with(seed, threads, racy);
         let hints = ample_hints(&client, &entries, &lock_model, &ge);
-        rows.push(measure(&name, &loaded, &cfg, &ladder, &hints, false, true));
+        rows.push(measure(&name, &loaded, &cfg, &hints, false, true));
     }
 
     // x86-TSO litmus tests: the store-buffered machine is the weakest
     // semantics the engines explore (the TSO-robustness checks lean on
-    // it), and its buffer contents defeat the ample condition — the
-    // parallel rows here measure the frontier on reduction-hostile
-    // state spaces.
+    // it), and its buffer contents defeat the ample condition — these
+    // rows measure the engine on reduction-hostile state spaces.
     let litmus_names: &[&str] = if smoke { &["SB"] } else { &["SB", "MP", "LB"] };
     for l in litmus::corpus()
         .into_iter()
@@ -554,7 +477,6 @@ fn main() {
             &format!("tso/{}", l.name),
             &loaded,
             &cfg,
-            &ladder,
             &AmpleHints::default(),
             false,
             false,
@@ -563,7 +485,7 @@ fn main() {
 
     for r in &rows {
         println!(
-            "{:<22} {:>3} {:>5} | {:>9} {:>9} {:>6.1}x | {:>9} {:>5.1}x | {:>8.2} {:>8.2} | {:>9} {:>8.2}",
+            "{:<22} {:>3} {:>5} | {:>9} {:>9} {:>6.1}x | {:>9} {:>5.1}x | {:>9.2} {:>9.2} {:>9.2}",
             r.name,
             r.threads,
             r.drf,
@@ -574,11 +496,10 @@ fn main() {
             r.drf_ample.states as f64 / r.drf_absint.states.max(1) as f64,
             r.drf_naive.ms,
             r.drf_ample.ms,
-            r.par().states,
-            r.par().ms,
+            r.drf_absint.ms,
         );
     }
-    println!("{}", "-".repeat(126));
+    println!("{}", "-".repeat(115));
 
     // Acceptance gate: on the race-free 4-thread private-prefix
     // programs (racy runs early-exit at the first witness, so their
@@ -643,42 +564,30 @@ fn main() {
     );
     println!("escape hints: never more states than plain ample, >=2x on the private-global family");
 
-    // Parallel-engine gates. The POR-composed frontier must (a) never
-    // lose to the exhaustive oracle on wall-clock (small slack absorbs
-    // timer noise on sub-millisecond rows), and (b) keep its state
-    // count within 10x of the one-worker ample run on every row — i.e.
-    // the reduction survives the parallel decomposition instead of
-    // degenerating into the naive frontier.
+    // Engine gate: the reduced check_drf never loses to the exhaustive
+    // oracle on wall-clock (small slack absorbs timer noise on
+    // sub-millisecond rows).
     for r in &rows {
         assert!(
-            r.par().ms <= r.drf_naive.ms * 1.05 + 0.25,
-            "{}: parallel check_drf lost to the naive oracle ({:.2}ms vs {:.2}ms)",
+            r.drf_ample.ms <= r.drf_naive.ms * 1.05 + 0.25,
+            "{}: reduced check_drf lost to the naive oracle ({:.2}ms vs {:.2}ms)",
             r.name,
-            r.par().ms,
+            r.drf_ample.ms,
             r.drf_naive.ms
         );
-        for (w, run) in &r.par_workers {
-            assert!(
-                run.states <= 10 * r.drf_ample.states,
-                "{}: {w}-worker frontier visited {} states, >10x the ample {}",
-                r.name,
-                run.states,
-                r.drf_ample.states
-            );
-        }
     }
-    println!("parallel frontier: never slower than naive, state counts within 10x of ample");
+    println!("engine: never slower than naive");
 
     // NPDRF gate: the memoised engine never loses to the oracle on
     // wall-clock, with the slack of the DRF gate above.
     for r in &rows {
-        if let Some((ser, par)) = &r.npdrf {
+        if let Some((oracle, engine)) = &r.npdrf {
             assert!(
-                par.ms <= ser.ms * 1.05 + 0.25,
+                engine.ms <= oracle.ms * 1.05 + 0.25,
                 "{}: check_npdrf engine lost to the oracle ({:.2}ms vs {:.2}ms)",
                 r.name,
-                par.ms,
-                ser.ms
+                engine.ms,
+                oracle.ms
             );
         }
     }
@@ -689,7 +598,7 @@ fn main() {
     let mut json = String::from("{\n");
     write!(
         json,
-        "  \"bench\": \"exploration\",\n  \"smoke\": {smoke},\n  \"workers\": {ladder:?},\n  \"programs\": [\n"
+        "  \"bench\": \"exploration\",\n  \"smoke\": {smoke},\n  \"programs\": [\n"
     )
     .unwrap();
     for (i, r) in rows.iter().enumerate() {

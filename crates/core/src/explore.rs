@@ -1,27 +1,26 @@
-//! The shared high-performance exploration engine.
+//! The shared exploration engine.
 //!
 //! Every checker that substitutes for a Coq proof in this reproduction —
 //! DRF/NPDRF ([`crate::race`]), trace refinement ([`crate::refine`]),
 //! `ReachClose` ([`crate::rg`]), well-definedness ([`crate::wd`]) —
 //! bottoms out in exhaustive exploration of a state graph. This module
-//! provides the three cooperating layers they build on:
+//! provides the layers they build on:
 //!
 //! 1. **State interning** ([`ParEngine`]): worlds are hash-consed
 //!    into [`IWorld`]s whose thread and memory components are
-//!    structurally shared behind [`Arc`]s, so a visited set stores a
+//!    structurally shared behind [`Rc`]s, so a visited set stores a
 //!    handful of 32-bit ids instead of deep-cloned worlds, and successor
 //!    dedup re-hashes only the *changed* component of a step (one thread
 //!    state, and the memory only when it actually changed) instead of
 //!    the whole world. The engine also memoises each interned
 //!    `(thread, memory)` pair's local expansion. It is the only reduced
-//!    engine: the DRF and footprint checkers run it on the frontier
-//!    below, and trace collection
+//!    engine: the DRF, NPDRF and footprint checkers and trace collection
 //!    ([`collect_traces_preemptive`](crate::refine::collect_traces_preemptive))
-//!    runs it single-threaded. NPDRF runs it on the frontier too, over
-//!    interned non-preemptive worlds ([`INpWorld`],
-//!    [`ParEngine::np_successors_into`]) and without a reduction. Both
-//!    race checkers read their predictions off the memoised expansions
-//!    and memoise them per `(thread, memory, 𝕕)` ([`ParEngine::memoised`]).
+//!    all run it, NPDRF over interned non-preemptive worlds
+//!    ([`INpWorld`], [`ParEngine::np_successors_into`]) and without a
+//!    reduction. Both race checkers read their predictions off the
+//!    memoised expansions and memoise them per `(thread, memory, 𝕕)`
+//!    ([`ParEngine::memoised`]).
 //!
 //! 2. **Footprint-directed partial-order reduction**
 //!    ([`Reduction::Ample`]): the paper's own instrumented footprints
@@ -42,27 +41,18 @@
 //!    which guarantees every cycle of the reduced graph contains a
 //!    fully-expanded state.
 //!
-//! 3. **A work-stealing frontier** ([`ws_explore_until`]): per-worker deques with a shared injector and
-//!    steal-half semantics, hand-rolled on `std::thread`. The ample
-//!    reduction runs *inside* each worker via a shared [`ParEngine`]
-//!    (concurrent interning pools, memoized `(thread, memory)`
-//!    expansions, and a cross-worker "ignoring" guard backed by the
-//!    shared [`VisitedSet`] — which stores compact 64-bit fingerprints
-//!    by default, or full states for soundness-sensitive callers; see
-//!    [`VisitedMode`]). One worker is the sequential case: it runs
-//!    inline on the calling thread and spawns nothing, and with more
-//!    workers a sequential burst on the main thread keeps small graphs
-//!    spawn-free. Results are merged deterministically:
-//!    each worker folds its local findings into a commutative monoid
-//!    (footprint unions, minimal race witness) so the merged outcome is
-//!    independent of scheduling whenever the exploration completes
-//!    within its state budget.
+//! 3. **One single-threaded search.** The race and footprint checkers
+//!    run a depth-first search that claims each state in an exact
+//!    visited set before expanding it — the order the cycle guard
+//!    relies on. Every exploration is a deterministic function of the
+//!    program and the configuration: state counts, truncation points
+//!    and race witnesses do not depend on scheduling.
 //!
 //! The naive sequential explorers remain available behind
 //! `ExploreCfg { reduction: Reduction::Off, .. }` and serve as the
-//! single trusted differential oracle: on the whole corpus the engine,
-//! at every worker count, must produce the same verdicts, trace sets,
-//! and footprint unions (`tests/tests/explore.rs`).
+//! single trusted differential oracle: on the whole corpus the engine
+//! must produce the same verdicts, trace sets, and footprint unions
+//! (`tests/tests/explore.rs`).
 
 use crate::footprint::{AtomicBit, Footprint, TaggedFootprint};
 use crate::lang::{Event, Lang, StepMsg};
@@ -70,12 +60,12 @@ use crate::mem::{Addr, Memory};
 use crate::npworld::NpWorld;
 use crate::refine::{Semantics, SuccStep};
 use crate::world::{GLabel, LoadError, Loaded, ThreadId, ThreadState, ThreadStep, World};
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::rc::Rc;
 
 // ---------------------------------------------------------------------------
 // Fast non-cryptographic hashing (FxHash-style, implemented in-repo)
@@ -204,7 +194,7 @@ pub enum Reduction {
     /// A deliberately *unsound* variant of [`Reduction::Ample`] that
     /// skips the seen-set cycle re-expansion (the C3 "ignoring" guard).
     /// Exists only so the differential test suite can prove that a
-    /// worker which stops re-expanding around cycles is caught — it
+    /// search which stops re-expanding around cycles is caught — it
     /// ample-loops through silent cycles forever and misses races other
     /// threads would exhibit. Never use it for real checking.
     #[doc(hidden)]
@@ -283,10 +273,10 @@ impl AmpleHints {
 // Hash-consing pools
 // ---------------------------------------------------------------------------
 
-/// A hash-consing pool: interns values behind [`Arc`]s, assigning dense
-/// 32-bit ids, with each value's hash computed exactly once.
+/// A hash-consing pool: interns values behind [`Rc`]s, assigning dense
+/// ids below `2^ID_BITS`, with each value's hash computed exactly once.
 struct Pool<T> {
-    items: Vec<Arc<T>>,
+    items: Vec<Rc<T>>,
     /// hash → candidate ids (collision bucket).
     table: FxHashMap<u64, Vec<u32>>,
 }
@@ -308,13 +298,14 @@ impl<T: Eq + Hash> Pool<T> {
                 }
             }
         }
-        let id = u32::try_from(self.items.len()).expect("interner overflow");
-        self.items.push(Arc::new(value));
+        assert!(self.items.len() < 1 << ID_BITS, "interner overflow");
+        let id = self.items.len() as u32;
+        self.items.push(Rc::new(value));
         self.table.entry(h).or_default().push(id);
         id
     }
 
-    fn get(&self, id: u32) -> &Arc<T> {
+    fn get(&self, id: u32) -> &Rc<T> {
         &self.items[id as usize]
     }
 
@@ -383,13 +374,9 @@ pub struct INpWorld {
 }
 
 // ---------------------------------------------------------------------------
-// Compact visited sets
+// The claim-before-expand depth-first search
 // ---------------------------------------------------------------------------
 
-/// Number of visited-set / pool / cache shards (a power of two; indexed
-/// by the low bits of the state hash).
-const VISITED_SHARDS: usize = 64;
-const SHARD_BITS: u32 = 6;
 /// Pool ids stay below `2^ID_BITS`, so a packed `(thread, memory)` memo
 /// key keeps its top bit free for a flag (see [`ParEngine::memoised`]).
 const ID_BITS: u32 = 31;
@@ -399,554 +386,57 @@ fn memo_key(tid: u32, mid: u32, flag: bool) -> u64 {
     (u64::from(flag) << 63) | (u64::from(tid) << 32) | u64::from(mid)
 }
 
-/// How a [`VisitedSet`] stores membership.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum VisitedMode {
-    /// SPIN-style hash compaction: only the 64-bit [`fx_hash_of`]
-    /// fingerprint of each state is stored, in a compact open-addressed
-    /// table (8 bytes per state instead of a deep-cloned state). Two
-    /// distinct states colliding on all 64 bits would merge — one of
-    /// them would silently not be explored — so a completed exploration
-    /// is exhaustive only up to fingerprint collisions (probability
-    /// ≈ `n²/2⁶⁵` for `n` states; ~10⁻¹¹ at a million states). This is
-    /// the default for the bulk checkers.
-    #[default]
-    Fingerprint,
-    /// Full states are stored and compared; no collision risk.
-    /// Soundness-sensitive callers (the fuzz oracle's differential
-    /// comparisons) opt into this.
-    Exact,
-}
-
-/// One shard of the fingerprint table: open addressing with linear
-/// probing, `0` as the empty sentinel (fingerprint `0` is remapped to
-/// `1`), growing at 7/8 load so a probe always terminates. The table is
-/// allocated on the first insert, so a small exploration touches only
-/// the shards its states hash to.
-struct FpShard {
-    slots: Vec<u64>,
-    len: usize,
-}
-
-impl FpShard {
-    fn new() -> FpShard {
-        FpShard {
-            slots: Vec::new(),
-            len: 0,
-        }
-    }
-
-    fn slot_of(&self, fp: u64) -> (bool, usize) {
-        let mask = self.slots.len() - 1;
-        let mut i = ((fp >> SHARD_BITS) as usize) & mask;
-        loop {
-            match self.slots[i] {
-                0 => return (false, i),
-                s if s == fp => return (true, i),
-                _ => i = (i + 1) & mask,
-            }
-        }
-    }
-
-    fn contains(&self, fp: u64) -> bool {
-        !self.slots.is_empty() && self.slot_of(fp).0
-    }
-
-    fn insert(&mut self, fp: u64) -> bool {
-        if self.slots.is_empty() {
-            self.slots = vec![0; 64];
-        }
-        let (found, i) = self.slot_of(fp);
-        if found {
-            return false;
-        }
-        self.slots[i] = fp;
-        self.len += 1;
-        if self.len * 8 >= self.slots.len() * 7 {
-            let doubled = self.slots.len() * 2;
-            let old = std::mem::replace(&mut self.slots, vec![0; doubled]);
-            for f in old {
-                if f != 0 {
-                    let (_, j) = self.slot_of(f);
-                    self.slots[j] = f;
-                }
-            }
-        }
-        true
-    }
-}
-
-enum VisitedInner<S> {
-    Fp(Vec<Mutex<FpShard>>),
-    Exact(Vec<Mutex<FxHashSet<S>>>),
-}
-
-/// A sharded concurrent visited set, in either fingerprint (compact,
-/// lossy) or exact mode — see [`VisitedMode`].
-///
-/// Beyond membership, the set doubles as the work-stealing engine's
-/// *claim* structure: a state is inserted when a worker claims it for
-/// expansion, and the ample "ignoring" guard asks [`VisitedSet::contains`]
-/// about candidate successors. See [`ParEngine`] for why that ordering
-/// makes the cycle guard sound across workers.
-pub struct VisitedSet<S> {
-    inner: VisitedInner<S>,
-}
-
-impl<S> fmt::Debug for VisitedSet<S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "VisitedSet({:?})", self.mode())
-    }
-}
-
-impl<S> VisitedSet<S> {
-    /// The storage mode.
-    #[must_use]
-    pub fn mode(&self) -> VisitedMode {
-        match &self.inner {
-            VisitedInner::Fp(_) => VisitedMode::Fingerprint,
-            VisitedInner::Exact(_) => VisitedMode::Exact,
-        }
-    }
-}
-
-impl<S: Eq + Hash + Clone> VisitedSet<S> {
-    /// An empty visited set in the given mode.
-    #[must_use]
-    pub fn new(mode: VisitedMode) -> VisitedSet<S> {
-        VisitedSet {
-            inner: match mode {
-                VisitedMode::Fingerprint => VisitedInner::Fp(
-                    (0..VISITED_SHARDS)
-                        .map(|_| Mutex::new(FpShard::new()))
-                        .collect(),
-                ),
-                VisitedMode::Exact => VisitedInner::Exact(
-                    (0..VISITED_SHARDS)
-                        .map(|_| Mutex::new(FxHashSet::default()))
-                        .collect(),
-                ),
-            },
-        }
-    }
-
-    /// Inserts `s`; true if it was fresh.
-    pub fn insert(&self, s: &S) -> bool {
-        let h = fx_hash_of(s);
-        let shard = (h as usize) & (VISITED_SHARDS - 1);
-        match &self.inner {
-            VisitedInner::Fp(shards) => {
-                let fp = if h == 0 { 1 } else { h };
-                shards[shard].lock().expect("visited shard").insert(fp)
-            }
-            VisitedInner::Exact(shards) => {
-                let mut set = shards[shard].lock().expect("visited shard");
-                if set.contains(s) {
-                    false
-                } else {
-                    set.insert(s.clone());
-                    true
-                }
-            }
-        }
-    }
-
-    /// True if `s` (or, in fingerprint mode, a state with its
-    /// fingerprint) has been inserted.
-    pub fn contains(&self, s: &S) -> bool {
-        let h = fx_hash_of(s);
-        let shard = (h as usize) & (VISITED_SHARDS - 1);
-        match &self.inner {
-            VisitedInner::Fp(shards) => {
-                let fp = if h == 0 { 1 } else { h };
-                shards[shard].lock().expect("visited shard").contains(fp)
-            }
-            VisitedInner::Exact(shards) => shards[shard].lock().expect("visited shard").contains(s),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Concurrent interning and memo caches
-// ---------------------------------------------------------------------------
-
-/// A concurrent hash-consing pool: a hash-consing `Pool` sharded behind mutexes, with
-/// the shard index folded into the low bits of the id so lookups are
-/// addressed directly. Append-only, so ids handed out are never
-/// invalidated and [`SharedPool::get`] clones an `Arc` without blocking
-/// interners on other shards.
-pub struct SharedPool<T> {
-    shards: Vec<Mutex<Pool<T>>>,
-}
-
-impl<T> fmt::Debug for SharedPool<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let items: usize = self
-            .shards
-            .iter()
-            .map(|s| s.lock().expect("pool shard").items.len())
-            .sum();
-        write!(f, "SharedPool({items} items)")
-    }
-}
-
-impl<T: Eq + Hash> SharedPool<T> {
-    fn new() -> SharedPool<T> {
-        SharedPool {
-            shards: (0..VISITED_SHARDS)
-                .map(|_| Mutex::new(Pool::new()))
-                .collect(),
-        }
-    }
-
-    /// Interns `value`, returning its dense id.
-    pub fn intern(&self, value: T) -> u32 {
-        let shard = (fx_hash_of(&value) as usize) & (VISITED_SHARDS - 1);
-        let local = self.shards[shard].lock().expect("pool shard").intern(value);
-        assert!(local < (1 << (ID_BITS - SHARD_BITS)), "interner overflow");
-        (local << SHARD_BITS) | shard as u32
-    }
-
-    /// The interned value behind `id`.
-    pub fn get(&self, id: u32) -> Arc<T> {
-        let shard = (id as usize) & (VISITED_SHARDS - 1);
-        self.shards[shard]
-            .lock()
-            .expect("pool shard")
-            .get(id >> SHARD_BITS)
-            .clone()
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("pool shard").len())
-            .sum()
-    }
-}
-
-/// A sharded insert-once memo cache keyed by `u64` (the parallel
-/// engine's packed `(thread id, memory id, flag)` keys). The first
-/// writer of a key wins; later writers get the stored value back, so
-/// all workers agree on one memoized result per key.
-pub struct ShardedCache<V> {
-    shards: Vec<Mutex<FxHashMap<u64, V>>>,
-}
-
-impl<V> fmt::Debug for ShardedCache<V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ShardedCache")
-    }
-}
-
-impl<V: Clone> Default for ShardedCache<V> {
-    fn default() -> Self {
-        ShardedCache::new()
-    }
-}
-
-impl<V: Clone> ShardedCache<V> {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> ShardedCache<V> {
-        ShardedCache {
-            shards: (0..VISITED_SHARDS)
-                .map(|_| Mutex::new(FxHashMap::default()))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, k: u64) -> &Mutex<FxHashMap<u64, V>> {
-        &self.shards[(fx_hash_of(&k) as usize) & (VISITED_SHARDS - 1)]
-    }
-
-    /// Every cached key (test support).
-    #[cfg(test)]
-    pub(crate) fn keys(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .expect("cache shard")
-                    .keys()
-                    .copied()
-                    .collect::<Vec<_>>()
-            })
-            .collect()
-    }
-
-    /// The cached value for `k`, if any.
-    pub fn get(&self, k: u64) -> Option<V> {
-        self.shard(k).lock().expect("cache shard").get(&k).cloned()
-    }
-
-    /// Caches `v` under `k` unless a value is already present; returns
-    /// the winning value.
-    pub fn insert(&self, k: u64, v: V) -> V {
-        self.shard(k)
-            .lock()
-            .expect("cache shard")
-            .entry(k)
-            .or_insert(v)
-            .clone()
-    }
-}
-
-/// The outcome of a parallel exploration.
+/// How a [`dfs_until`] search ended.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ParOutcome<A> {
-    /// The merged per-worker accumulators.
-    pub acc: A,
-    /// Number of distinct states visited.
-    pub states: usize,
+pub(crate) struct Explored {
+    /// Number of distinct states claimed.
+    pub(crate) states: usize,
     /// True if the state budget was exhausted.
-    pub truncated: bool,
+    pub(crate) truncated: bool,
 }
 
-/// States the main thread claims inline before spawning workers: tiny
-/// graphs (and the prefix of big ones) explore sequentially at zero
-/// thread-spawn and steal cost, so extra workers never make a small
-/// program slower than one worker.
-const SEQ_BURST: usize = 256;
-
-/// Shared control block of one work-stealing exploration.
-struct WsCtl<S> {
-    /// Per-worker deques. Owners pop from the back (depth-first-ish, hot
-    /// caches); thieves steal half from the front (the oldest, widest
-    /// subtrees, minimizing steal frequency).
-    locals: Vec<Mutex<VecDeque<S>>>,
-    /// Seed queue (the initial states); drained before stealing.
-    injector: Mutex<VecDeque<S>>,
-    /// States enqueued but not yet fully processed. `0` ⇒ exploration
-    /// complete (incremented before every push, decremented after the
-    /// claim/expand of each popped state).
-    pending: AtomicUsize,
-    /// Set on completion, budget exhaustion, or early exit.
-    stop: AtomicBool,
-    truncated: AtomicBool,
-    /// Distinct states claimed.
-    count: AtomicUsize,
-    /// Workers currently parked (push only signals when someone waits).
-    idle: AtomicUsize,
-    park: Mutex<()>,
-    cv: Condvar,
-    max_states: usize,
-}
-
-impl<S> WsCtl<S> {
-    fn new(nworkers: usize, max_states: usize, initials: Vec<S>) -> WsCtl<S> {
-        let pending = AtomicUsize::new(initials.len());
-        WsCtl {
-            locals: (0..nworkers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(initials.into()),
-            pending,
-            stop: AtomicBool::new(false),
-            truncated: AtomicBool::new(false),
-            count: AtomicUsize::new(0),
-            idle: AtomicUsize::new(0),
-            park: Mutex::new(()),
-            cv: Condvar::new(),
-            max_states,
-        }
-    }
-
-    fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _guard = self.park.lock().expect("park lock");
-        self.cv.notify_all();
-    }
-
-    /// One state fully processed; the last one shuts the exploration down.
-    fn finish_one(&self) {
-        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.shutdown();
-        }
-    }
-
-    fn push_batch(&self, wid: usize, buf: &mut Vec<S>) {
-        if buf.is_empty() {
-            return;
-        }
-        self.pending.fetch_add(buf.len(), Ordering::SeqCst);
-        self.locals[wid]
-            .lock()
-            .expect("local deque")
-            .extend(buf.drain(..));
-        if self.idle.load(Ordering::SeqCst) > 0 {
-            let _guard = self.park.lock().expect("park lock");
-            self.cv.notify_all();
-        }
-    }
-
-    /// Pops from the own deque, then the injector, then steals half of a
-    /// victim's deque (oldest states first).
-    fn take(&self, wid: usize) -> Option<S> {
-        if let Some(s) = self.locals[wid].lock().expect("local deque").pop_back() {
-            return Some(s);
-        }
-        if let Some(s) = self.injector.lock().expect("injector").pop_front() {
-            return Some(s);
-        }
-        let n = self.locals.len();
-        for off in 1..n {
-            let victim = (wid + off) % n;
-            let mut stolen: VecDeque<S> = {
-                let mut vq = self.locals[victim].lock().expect("victim deque");
-                let half = vq.len().div_ceil(2);
-                if half == 0 {
-                    continue;
-                }
-                vq.drain(..half).collect()
-            };
-            let first = stolen.pop_front();
-            if !stolen.is_empty() {
-                self.locals[wid].lock().expect("local deque").extend(stolen);
-            }
-            return first;
-        }
-        None
-    }
-}
-
-/// One worker's claim-expand loop. `claim_limit` bounds how many states
-/// this call claims (the sequential burst); queued leftovers stay for
-/// other workers.
-fn ws_run<S, A, W, FS>(
-    ctl: &WsCtl<S>,
-    visited: &VisitedSet<S>,
-    wid: usize,
-    mut expand: W,
-    stop: &FS,
-    acc: &mut A,
-    claim_limit: usize,
-) where
-    S: Clone + Eq + Hash,
-    W: FnMut(&S, &mut A, &mut Vec<S>),
-    FS: Fn(&A) -> bool,
-{
-    let mut buf: Vec<S> = Vec::new();
-    let mut claimed = 0usize;
-    while claimed < claim_limit && !ctl.stop.load(Ordering::SeqCst) {
-        let Some(s) = ctl.take(wid) else {
-            if ctl.stop.load(Ordering::SeqCst) || ctl.pending.load(Ordering::SeqCst) == 0 {
-                return;
-            }
-            // Someone is still expanding; park briefly. The timeout
-            // backstops a push that raced the idle bookkeeping.
-            ctl.idle.fetch_add(1, Ordering::SeqCst);
-            let guard = ctl.park.lock().expect("park lock");
-            if !ctl.stop.load(Ordering::SeqCst) {
-                let _ = ctl
-                    .cv
-                    .wait_timeout(guard, std::time::Duration::from_micros(500));
-            }
-            ctl.idle.fetch_sub(1, Ordering::SeqCst);
-            continue;
-        };
-        // Claim *before* expanding: the ample cycle guard asks the
-        // visited set about candidate successors, and this ordering is
-        // what makes the guard sound across workers (see [`ParEngine`]).
-        if !visited.insert(&s) {
-            ctl.finish_one();
-            continue;
-        }
-        let n = ctl.count.fetch_add(1, Ordering::SeqCst) + 1;
-        claimed += 1;
-        if n >= ctl.max_states {
-            ctl.truncated.store(true, Ordering::SeqCst);
-            ctl.shutdown();
-            ctl.finish_one();
-            return;
-        }
-        buf.clear();
-        expand(&s, acc, &mut buf);
-        if stop(acc) {
-            ctl.shutdown();
-            ctl.finish_one();
-            return;
-        }
-        ctl.push_batch(wid, &mut buf);
-        ctl.finish_one();
-    }
-}
-
-/// The work-stealing parallel frontier: explores the graph generated by
-/// per-worker `expand` closures from `initials` with `nworkers` workers
-/// over the shared `visited` set.
+/// Depth-first search over the graph that `expand` generates from
+/// `initials`, claiming each distinct state once.
 ///
-/// `make_worker(wid)` builds one expansion closure per worker (letting
-/// each keep reusable scratch buffers); the closure receives each
-/// distinct state exactly once — `(state, accumulator, successor
-/// buffer)` — and pushes the successors into the buffer. The main
-/// thread first claims up to `SEQ_BURST` (256) states inline (all of them
-/// when `nworkers == 1`), so small graphs never pay thread-spawn cost;
-/// only then are workers spawned over the per-worker deques with
-/// steal-half semantics.
-///
-/// Determinism: as with the sequential oracles, the *reachable set* (and
-/// so `states`) is scheduling-independent whenever the exploration
-/// completes within `max_states` and expansion is a pure function of the
-/// state — which holds for the naive expanders, and for the ample
-/// engine's up to cycle-guard timing (the guard can only force extra
-/// *full* expansions, never drop states). Accumulators are folded with
-/// `merge`, which must be commutative and associative together with the
-/// accumulation in `expand` (footprint unions, minimal witnesses, sums).
-/// `stop` early-exits every worker once a worker's local accumulator
-/// satisfies it; verdicts stay deterministic when `stop` is monotone.
-pub fn ws_explore_until<S, A, FW, W, FM, FS>(
-    visited: &VisitedSet<S>,
+/// Initial states are taken in order, each searched to exhaustion before
+/// the next; successors are popped last in, first out. A popped state is
+/// *claimed* — inserted into the visited set and counted — before
+/// `expand(state, visited, stack)` pushes its successors onto `stack`:
+/// the ample cycle guard ([`ParEngine::successors_into`]) asks the
+/// visited set about candidate successors, and relies on that order. The
+/// search stops, truncated, once the count reaches `max_states` (the last
+/// state claimed is not expanded), and early, untruncated, when `expand`
+/// returns true.
+pub(crate) fn dfs_until<S: Clone + Eq + Hash>(
     initials: Vec<S>,
-    nworkers: usize,
     max_states: usize,
-    mut make_worker: FW,
-    merge: FM,
-    stop: FS,
-) -> ParOutcome<A>
-where
-    S: Clone + Eq + Hash + Send,
-    A: Default + Send,
-    FW: FnMut(usize) -> W,
-    W: FnMut(&S, &mut A, &mut Vec<S>) + Send,
-    FM: Fn(&mut A, A),
-    FS: Fn(&A) -> bool + Sync,
-{
-    let nworkers = nworkers.max(1);
-    let ctl = WsCtl::new(nworkers, max_states, initials);
-    let mut acc = A::default();
-    let burst = if nworkers == 1 { usize::MAX } else { SEQ_BURST };
-    ws_run(&ctl, visited, 0, make_worker(0), &stop, &mut acc, burst);
-    if nworkers > 1 && !ctl.stop.load(Ordering::SeqCst) && ctl.pending.load(Ordering::SeqCst) > 0 {
-        let ctl_ref = &ctl;
-        let stop_ref = &stop;
-        let worker_accs = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..nworkers)
-                .map(|wid| {
-                    let w = make_worker(wid);
-                    scope.spawn(move || {
-                        let mut wacc = A::default();
-                        ws_run(ctl_ref, visited, wid, w, stop_ref, &mut wacc, usize::MAX);
-                        wacc
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("exploration worker panicked"))
-                .collect::<Vec<A>>()
-        });
-        for wacc in worker_accs {
-            merge(&mut acc, wacc);
+    mut expand: impl FnMut(&S, &FxHashSet<S>, &mut Vec<S>) -> bool,
+) -> Explored {
+    let mut visited = FxHashSet::default();
+    let mut stack: Vec<S> = initials.into_iter().rev().collect();
+    while let Some(s) = stack.pop() {
+        if visited.contains(&s) {
+            continue;
+        }
+        visited.insert(s.clone());
+        if visited.len() >= max_states {
+            return Explored {
+                states: visited.len(),
+                truncated: true,
+            };
+        }
+        if expand(&s, &visited, &mut stack) {
+            break;
         }
     }
-    ParOutcome {
-        acc,
-        states: ctl.count.load(Ordering::SeqCst),
-        truncated: ctl.truncated.load(Ordering::SeqCst),
+    Explored {
+        states: visited.len(),
+        truncated: false,
     }
 }
 
 // ---------------------------------------------------------------------------
-// The parallel POR engine
+// The POR engine
 // ---------------------------------------------------------------------------
 
 /// The kind of one cached raw successor, interpreted relative to the
@@ -996,45 +486,43 @@ struct ExpandEntry {
 /// preemptive semantics (fused-switch variant, like
 /// [`Loaded::step_preemptive_sched`]) and, unreduced, the
 /// non-preemptive one (like [`Loaded::step_np`]): hash-consing pools
-/// and the footprint-directed ample reduction, shared by every worker
-/// of an exploration (`&ParEngine` is `Sync`). One worker is the
-/// sequential case.
+/// and the footprint-directed ample reduction, used by one
+/// single-threaded search at a time.
 ///
 /// - **Memoized expansion.** A thread's local steps depend only on its
 ///   own state and the memory, both interned — so expansion is cached
-///   per `(tid, mid)` pair in a [`ShardedCache`], and race prediction
-///   ([`crate::race`]) walks those expansions, memoised per `(tid, mid,
-///   𝕕)` triple through [`ParEngine::memoised`] (the `𝕕` bit tags
-///   NPDRF's predictions; DRF passes 0). Each distinct pair runs the
-///   interpreter once, however many worlds share it: on cache-friendly
-///   graphs the dominant saving.
+///   per `(tid, mid)` pair, and race prediction ([`crate::race`]) walks
+///   those expansions, memoised per `(tid, mid, 𝕕)` triple through
+///   [`ParEngine::memoised`] (the `𝕕` bit tags NPDRF's predictions; DRF
+///   passes 0). Each distinct pair runs the interpreter once, however
+///   many worlds share it: on cache-friendly graphs the dominant saving.
 ///
 /// - **Users.** DRF and footprint collection step interned preemptive
 ///   worlds ([`ParEngine::successors_into`]); NPDRF steps interned
 ///   non-preemptive worlds ([`ParEngine::np_successors_into`]) over the
 ///   same pools and expansion memo; trace collection, alone or fused
-///   with the DRF check, runs the preemptive engine single-threaded.
+///   with the DRF check, steps the preemptive worlds through the
+///   engine's [`Semantics`] instance.
 ///
-/// - **A cross-worker "ignoring" guard.** The engine refuses an ample
-///   set whose successor was already claimed for expansion, so every
-///   cycle of the reduced graph keeps one fully-expanded state. The
-///   check runs against the shared [`VisitedSet`], and the claim ordering in [`ws_explore_until`] (a worker *inserts* a
-///   state before expanding it) makes it sound: suppose some cycle
-///   `s₁ → s₂ → … → sₙ → s₁` of the reduced graph were expanded entirely
-///   ample. Each `sᵢ` was inserted before its expansion checked
-///   `sᵢ₊₁ ∉ visited`, so insert(`sᵢ`) < contains(`sᵢ₊₁`) <
-///   insert(`sᵢ₊₁`) < contains(`sᵢ₊₂`) < … — a strictly increasing chain
-///   around the cycle ending in insert(`s₁`) *after* insert(`s₁`),
-///   a contradiction. In fingerprint mode a collision can only make
-///   `contains` spuriously true, forcing an extra full expansion — sound.
+/// - **The "ignoring" guard.** The engine refuses an ample set whose
+///   successor was already claimed for expansion, so every cycle of the
+///   reduced graph keeps one fully-expanded state. The check asks the
+///   search which states it has claimed (the engine keeps no set of
+///   states of its own), and the search claims each state *before*
+///   expanding it, which makes the guard sound: suppose some
+///   cycle `s₁ → s₂ → … → sₙ → s₁` of the reduced graph were expanded
+///   entirely ample. Each `sᵢ` was claimed before its expansion checked
+///   `sᵢ₊₁` unclaimed, so claim(`sᵢ`) < check(`sᵢ₊₁`) < claim(`sᵢ₊₁`) <
+///   check(`sᵢ₊₂`) < … — a strictly increasing chain around the cycle
+///   ending in claim(`s₁`) *after* claim(`s₁`), a contradiction.
 pub struct ParEngine<'a, L: Lang> {
     loaded: &'a Loaded<L>,
-    threads: SharedPool<ThreadState<L>>,
-    mems: SharedPool<Memory>,
-    expand: ShardedCache<Arc<ExpandEntry>>,
+    threads: RefCell<Pool<ThreadState<L>>>,
+    mems: RefCell<Pool<Memory>>,
+    expand: RefCell<FxHashMap<u64, Rc<ExpandEntry>>>,
     reduction: Reduction,
     hints: AmpleHints,
-    scoping_ok: AtomicBool,
+    scoping_ok: Cell<bool>,
 }
 
 impl<L: Lang> fmt::Debug for ParEngine<'_, L> {
@@ -1048,7 +536,7 @@ impl<L: Lang> fmt::Debug for ParEngine<'_, L> {
 }
 
 impl<'a, L: Lang> ParEngine<'a, L> {
-    /// Creates a shared engine over a loaded program. Its ample
+    /// Creates an engine over a loaded program. Its ample
     /// criterion also accepts steps inside each thread's `hints`-private
     /// address set; hints with overlapping per-thread sets are
     /// contradictory and are dropped (the engine then reduces exactly as
@@ -1065,12 +553,12 @@ impl<'a, L: Lang> ParEngine<'a, L> {
         };
         ParEngine {
             loaded,
-            threads: SharedPool::new(),
-            mems: SharedPool::new(),
-            expand: ShardedCache::new(),
+            threads: RefCell::new(Pool::new()),
+            mems: RefCell::new(Pool::new()),
+            expand: RefCell::default(),
             reduction,
             hints,
-            scoping_ok: AtomicBool::new(true),
+            scoping_ok: Cell::new(true),
         }
     }
 
@@ -1085,15 +573,12 @@ impl<'a, L: Lang> ParEngine<'a, L> {
 
     /// Interns an arbitrary world.
     pub fn intern_world(&self, w: World<L>) -> IWorld {
+        let mut pool = self.threads.borrow_mut();
         IWorld {
-            threads: w
-                .threads
-                .into_iter()
-                .map(|t| self.threads.intern(t))
-                .collect(),
+            threads: w.threads.into_iter().map(|t| pool.intern(t)).collect(),
             cur: w.cur,
             atom: w.atom,
-            mem: self.mems.intern(w.mem),
+            mem: self.mems.borrow_mut().intern(w.mem),
         }
     }
 
@@ -1103,39 +588,44 @@ impl<'a, L: Lang> ParEngine<'a, L> {
     /// ample-set independence argument assumes the `HG` scoping
     /// discipline (and, when hinted, the privacy claims); when this
     /// monitor trips, callers must discard the reduced result and re-run
-    /// with [`Reduction::Off`]. Shared across workers.
+    /// with [`Reduction::Off`].
     pub fn scoping_ok(&self) -> bool {
-        self.scoping_ok.load(Ordering::SeqCst)
+        self.scoping_ok.get()
     }
 
     /// Every interned `(thread, memory)` pair expanded so far, with its
     /// thread state (test support).
     #[cfg(test)]
-    pub(crate) fn expanded_pairs(&self) -> Vec<(u32, u32, Arc<ThreadState<L>>)> {
-        let pairs = self.expand.keys().into_iter();
-        let pairs = pairs.map(|k| ((k >> 32) as u32, k as u32));
-        pairs.map(|(t, m)| (t, m, self.threads.get(t))).collect()
+    pub(crate) fn expanded_pairs(&self) -> Vec<(u32, u32, Rc<ThreadState<L>>)> {
+        let memo = self.expand.borrow();
+        let pairs = memo.keys().map(|&k| ((k >> 32) as u32, k as u32));
+        pairs.map(|(t, m)| (t, m, self.thread(t))).collect()
     }
 
     /// The interned memory `mid` (test support).
     #[cfg(test)]
-    pub(crate) fn memory(&self, mid: u32) -> Arc<Memory> {
-        self.mems.get(mid)
+    pub(crate) fn memory(&self, mid: u32) -> Rc<Memory> {
+        Rc::clone(self.mems.borrow().get(mid))
+    }
+
+    /// The interned thread state `tid`.
+    fn thread(&self, tid: u32) -> Rc<ThreadState<L>> {
+        Rc::clone(self.threads.borrow().get(tid))
     }
 
     /// Number of distinct (thread, memory) components interned so far.
     pub fn interned_components(&self) -> (usize, usize) {
-        (self.threads.len(), self.mems.len())
+        (self.threads.borrow().len(), self.mems.borrow().len())
     }
 
     /// The memoized local expansion of interned pair `(tid, mid)`.
-    fn entry(&self, tid: u32, mid: u32) -> Arc<ExpandEntry> {
+    fn entry(&self, tid: u32, mid: u32) -> Rc<ExpandEntry> {
         let key = memo_key(tid, mid, false);
-        if let Some(e) = self.expand.get(key) {
-            return e;
+        if let Some(e) = self.expand.borrow().get(&key) {
+            return Rc::clone(e);
         }
-        let thread = self.threads.get(tid);
-        let mem = self.mems.get(mid);
+        let thread = self.thread(tid);
+        let mem = Rc::clone(self.mems.borrow().get(mid));
         let t = thread.flist.thread_index().unwrap_or(0);
         let overbroad = self.reduction == Reduction::AmpleOverbroad;
         let private = self.hints.private_of(t);
@@ -1154,7 +644,7 @@ impl<'a, L: Lang> ParEngine<'a, L> {
                     if !fp.within(|a| a.is_global() || thread.flist.contains(a))
                         || self.hints.violated_by(t, &fp)
                     {
-                        self.scoping_ok.store(false, Ordering::SeqCst);
+                        self.scoping_ok.set(false);
                     }
                     let kind = match msg {
                         StepMsg::Tau => RawKind::Tau,
@@ -1168,11 +658,15 @@ impl<'a, L: Lang> ParEngine<'a, L> {
                                 || private.is_some_and(|p| p.contains(&a))
                                 || (overbroad && a.is_global())
                         });
-                    let stid = self.threads.intern(ThreadState {
+                    let stid = self.threads.borrow_mut().intern(ThreadState {
                         frames,
                         flist: thread.flist,
                     });
-                    let smid = if m == *mem { mid } else { self.mems.intern(m) };
+                    let smid = if m == *mem {
+                        mid
+                    } else {
+                        self.mems.borrow_mut().intern(m)
+                    };
                     succs.push(RawSucc {
                         kind,
                         fp,
@@ -1182,7 +676,7 @@ impl<'a, L: Lang> ParEngine<'a, L> {
                 }
                 ThreadStep::Terminated => {
                     ample_ok = false;
-                    let stid = self.threads.intern(ThreadState {
+                    let stid = self.threads.borrow_mut().intern(ThreadState {
                         frames: Vec::new(),
                         flist: thread.flist,
                     });
@@ -1199,15 +693,14 @@ impl<'a, L: Lang> ParEngine<'a, L> {
                 }
             }
         }
-        self.expand.insert(
-            key,
-            Arc::new(ExpandEntry {
-                done: thread.is_done(),
-                has_abort,
-                ample_ok,
-                succs,
-            }),
-        )
+        let entry = Rc::new(ExpandEntry {
+            done: thread.is_done(),
+            has_abort,
+            ample_ok,
+            succs,
+        });
+        self.expand.borrow_mut().insert(key, Rc::clone(&entry));
+        entry
     }
 
     /// Instantiates the memoized steps of thread `t` at world `w`.
@@ -1251,16 +744,22 @@ impl<'a, L: Lang> ParEngine<'a, L> {
     }
 
     /// All successors of `w` under the configured reduction, written
-    /// into `out` (reused across calls by the worker). The `visited` set
-    /// backs the cross-worker ample cycle guard — see the type docs.
-    pub fn successors_into(&self, w: &IWorld, visited: &VisitedSet<IWorld>, out: &mut Vec<IStep>) {
+    /// into `out` (reused across calls by the search). `claimed` tells
+    /// which states the search has claimed for expansion (`w` among
+    /// them); it backs the ample cycle guard — see the type docs.
+    pub fn successors_into(
+        &self,
+        w: &IWorld,
+        claimed: &dyn Fn(&IWorld) -> bool,
+        out: &mut Vec<IStep>,
+    ) {
         out.clear();
         if w.atom {
             let entry = self.entry(w.threads[w.cur], w.mem);
             self.emit(w, w.cur, &entry, out);
             return;
         }
-        let live: Vec<(ThreadId, Arc<ExpandEntry>)> = (0..w.threads.len())
+        let live: Vec<(ThreadId, Rc<ExpandEntry>)> = (0..w.threads.len())
             .map(|t| (t, self.entry(w.threads[t], w.mem)))
             .filter(|(_, e)| !e.done)
             .collect();
@@ -1274,7 +773,7 @@ impl<'a, L: Lang> ParEngine<'a, L> {
                 if !self.reduction.ignores_cycles() {
                     for step in out.iter() {
                         if let IStep::Next { world, .. } = step {
-                            if visited.contains(world) {
+                            if claimed(world) {
                                 continue 'candidate;
                             }
                         }
@@ -1291,27 +790,29 @@ impl<'a, L: Lang> ParEngine<'a, L> {
 
     /// True if every thread of `w` has terminated.
     pub fn is_done(&self, w: &IWorld) -> bool {
-        w.threads.iter().all(|&t| self.threads.get(t).is_done())
+        let pool = self.threads.borrow();
+        w.threads.iter().all(|&t| pool.get(t).is_done())
     }
 
     /// `f()` memoised in `cache` per `(tid, mid, flag)`: each distinct
-    /// triple runs `f` once across all workers. `f` must be a pure
-    /// function of interned thread `tid`, memory `mid` and `flag` — the
-    /// race checkers memoise their predictions here, with the thread's
-    /// `𝕕` bit as the flag.
+    /// triple runs `f` once. `f` must be a pure function of interned
+    /// thread `tid`, memory `mid` and `flag` — the race checkers memoise
+    /// their predictions here, with the thread's `𝕕` bit as the flag.
     pub fn memoised<V: Clone>(
         &self,
-        cache: &ShardedCache<V>,
+        cache: &RefCell<FxHashMap<u64, V>>,
         tid: u32,
         mid: u32,
         flag: bool,
         f: impl FnOnce() -> V,
     ) -> V {
         let key = memo_key(tid, mid, flag);
-        if let Some(v) = cache.get(key) {
-            return v;
+        if let Some(v) = cache.borrow().get(&key) {
+            return v.clone();
         }
-        cache.insert(key, f())
+        let v = f();
+        cache.borrow_mut().insert(key, v.clone());
+        v
     }
 
     /// [`crate::race::predict`] of interned pair `(tid, mid)`, read off
@@ -1365,15 +866,12 @@ impl<'a, L: Lang> ParEngine<'a, L> {
 
     /// Interns a non-preemptive world.
     pub fn intern_np_world(&self, w: NpWorld<L>) -> INpWorld {
+        let mut pool = self.threads.borrow_mut();
         INpWorld {
-            threads: w
-                .threads
-                .into_iter()
-                .map(|t| self.threads.intern(t))
-                .collect(),
+            threads: w.threads.into_iter().map(|t| pool.intern(t)).collect(),
             cur: w.cur,
             dbits: w.dbits,
-            mem: self.mems.intern(w.mem),
+            mem: self.mems.borrow_mut().intern(w.mem),
         }
     }
 
@@ -1417,8 +915,9 @@ impl<'a, L: Lang> ParEngine<'a, L> {
     /// Switches from `w` to each of its live threads (possibly the
     /// current one).
     fn np_switch(&self, w: &INpWorld, out: &mut Vec<INpWorld>) {
+        let pool = self.threads.borrow();
         for (t, &tid) in w.threads.iter().enumerate() {
-            if !self.threads.get(tid).is_done() {
+            if !pool.get(tid).is_done() {
                 out.push(INpWorld {
                     cur: t,
                     ..w.clone()
@@ -1428,44 +927,20 @@ impl<'a, L: Lang> ParEngine<'a, L> {
     }
 }
 
-/// The reduced, interned preemptive semantics as a single-threaded
-/// [`Semantics`] instance over a [`ParEngine`], so
+/// The reduced, interned preemptive semantics, so
 /// [`collect_traces`](crate::refine::collect_traces) runs on the
-/// memoised expansions unchanged.
-///
-/// The ample "ignoring" guard asks an exact set of already-expanded
-/// states; `successors` inserts each state before expanding it — the
-/// claim-before-expand order of [`ws_explore_until`], which is what
-/// makes the guard sound.
-pub(crate) struct ParPreemptive<'a, L: Lang> {
-    pub(crate) engine: ParEngine<'a, L>,
-    expanded: VisitedSet<IWorld>,
-}
-
-impl<'a, L: Lang> ParPreemptive<'a, L> {
-    pub(crate) fn new(
-        loaded: &'a Loaded<L>,
-        reduction: Reduction,
-        hints: &AmpleHints,
-    ) -> ParPreemptive<'a, L> {
-        ParPreemptive {
-            engine: ParEngine::new(loaded, reduction, hints),
-            expanded: VisitedSet::new(VisitedMode::Exact),
-        }
-    }
-}
-
-impl<L: Lang> Semantics for ParPreemptive<'_, L> {
+/// memoised expansions unchanged. The collector claims each state before
+/// expanding it, and its `expanded` query backs the ample cycle guard.
+impl<L: Lang> Semantics for ParEngine<'_, L> {
     type State = IWorld;
 
     fn initials(&self) -> Result<Vec<IWorld>, LoadError> {
-        Ok(vec![self.engine.load()?])
+        Ok(vec![self.load()?])
     }
 
-    fn successors(&self, s: &IWorld) -> Vec<SuccStep<IWorld>> {
-        self.expanded.insert(s);
+    fn successors(&self, s: &IWorld, expanded: &dyn Fn(&IWorld) -> bool) -> Vec<SuccStep<IWorld>> {
         let mut out = Vec::new();
-        self.engine.successors_into(s, &self.expanded, &mut out);
+        self.successors_into(s, expanded, &mut out);
         out.into_iter()
             .map(|g| match g {
                 IStep::Next { label, world, .. } => SuccStep::Next {
@@ -1481,7 +956,7 @@ impl<L: Lang> Semantics for ParPreemptive<'_, L> {
     }
 
     fn is_done(&self, s: &IWorld) -> bool {
-        self.engine.is_done(s)
+        ParEngine::is_done(self, s)
     }
 }
 
@@ -1548,7 +1023,7 @@ mod tests {
         let eng = ParEngine::new(&l, Reduction::Off, &AmpleHints::default());
         let init = eng.load().expect("load");
         let mut succs = Vec::new();
-        eng.successors_into(&init, &VisitedSet::new(VisitedMode::Exact), &mut succs);
+        eng.successors_into(&init, &|_| false, &mut succs);
         // Both threads stepped once each; only the stepping thread's
         // component is fresh, and the memory id is shared (no step
         // touched memory).
@@ -1568,9 +1043,9 @@ mod tests {
         let l = private_prefix_prog(3);
         let cfg = ExploreCfg::default();
         let naive = collect_traces(&Preemptive(&l), &cfg).expect("naive");
-        let red = ParPreemptive::new(&l, Reduction::Ample, &AmpleHints::default());
+        let red = ParEngine::new(&l, Reduction::Ample, &AmpleHints::default());
         let reduced = collect_traces(&red, &cfg).expect("reduced");
-        assert!(red.engine.scoping_ok());
+        assert!(red.scoping_ok());
         assert!(trace_equiv(&naive, &reduced));
         assert_eq!(naive.traces, reduced.traces, "trace sets must be identical");
         assert!(
@@ -1618,50 +1093,65 @@ mod tests {
     }
 
     #[test]
-    fn ws_explore_counts_states_and_merges() {
+    fn dfs_counts_states_in_claim_order() {
         // A diamond graph over u32 pairs: (i, j) -> (i+1, j), (i, j+1)
         // for i, j < 8. 81 states, each contributing its coordinate sum.
-        for workers in [1, 4] {
-            let out = ws_explore_until(
-                &VisitedSet::new(VisitedMode::Exact),
-                vec![(0u32, 0u32)],
-                workers,
-                1_000_000,
-                |_wid| {
-                    |&(i, j): &(u32, u32), acc: &mut u64, succ: &mut Vec<(u32, u32)>| {
-                        *acc += u64::from(i + j);
-                        if i < 8 {
-                            succ.push((i + 1, j));
-                        }
-                        if j < 8 {
-                            succ.push((i, j + 1));
-                        }
-                    }
-                },
-                |a, b| *a += b,
-                |_| false,
-            );
-            assert_eq!(out.states, 81);
-            assert!(!out.truncated);
-            // Σ (i + j) over the 9×9 grid = 2 · 9 · Σ0..8 = 648.
-            assert_eq!(out.acc, 648);
-        }
+        let mut sum = 0u64;
+        let out = dfs_until(vec![(0u32, 0u32)], 1_000_000, |&(i, j), _, succ| {
+            sum += u64::from(i + j);
+            if i < 8 {
+                succ.push((i + 1, j));
+            }
+            if j < 8 {
+                succ.push((i, j + 1));
+            }
+            false
+        });
+        assert_eq!(
+            out,
+            Explored {
+                states: 81,
+                truncated: false
+            }
+        );
+        // Σ (i + j) over the 9×9 grid = 2 · 9 · Σ0..8 = 648.
+        assert_eq!(sum, 648);
+
+        // Initial states in order, each searched to exhaustion first;
+        // successors last in, first out; a claimed state is skipped.
+        let mut order = Vec::new();
+        dfs_until(vec![10u32, 20, 11], 100, |&n, visited, succ| {
+            assert!(visited.contains(&n), "{n} is claimed before expansion");
+            order.push(n);
+            if n % 10 == 0 {
+                succ.extend([n + 1, n + 2]);
+            }
+            false
+        });
+        assert_eq!(order, [10, 12, 11, 20, 22, 21]);
     }
 
     #[test]
-    fn ws_explore_respects_budget() {
-        for workers in [1, 2] {
-            let out = ws_explore_until(
-                &VisitedSet::new(VisitedMode::Fingerprint),
-                vec![0u64],
-                workers,
-                100,
-                |_wid| |&n: &u64, _: &mut (), succ: &mut Vec<u64>| succ.push(n + 1),
-                |_, ()| {},
-                |_| false,
-            );
-            assert!(out.truncated);
-            assert!(out.states >= 100);
-        }
+    fn dfs_stops_at_the_budget_and_on_request() {
+        let chain = |stop_at: u64| {
+            let mut expanded = 0;
+            let out = dfs_until(vec![0u64], 100, |&n, _, succ| {
+                expanded += 1;
+                succ.push(n + 1);
+                n == stop_at
+            });
+            (out, expanded)
+        };
+        // The 100th state is claimed and counted, but not expanded.
+        let full = Explored {
+            states: 100,
+            truncated: true,
+        };
+        assert_eq!(chain(u64::MAX), (full, 99));
+        let early = Explored {
+            states: 6,
+            truncated: false,
+        };
+        assert_eq!(chain(5), (early, 6));
     }
 }

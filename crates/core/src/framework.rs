@@ -110,12 +110,8 @@ pub fn validate_fig2<S, T>(
     cfg: &ExploreCfg,
 ) -> Result<Fig2Report, LoadError>
 where
-    S: Lang + Sync,
-    S::Module: Sync,
-    S::Core: Send + Sync,
-    T: Lang + Sync,
-    T::Module: Sync,
-    T::Core: Send + Sync,
+    S: Lang,
+    T: Lang,
 {
     let drf_s = check_drf(src, cfg)?;
     let npdrf_s = check_npdrf(src, cfg)?;

@@ -158,24 +158,6 @@ pub enum Sum<A, B> {
     R(B),
 }
 
-impl<A, B> Sum<A, B> {
-    /// The left payload, if any.
-    pub fn as_l(&self) -> Option<&A> {
-        match self {
-            Sum::L(a) => Some(a),
-            Sum::R(_) => None,
-        }
-    }
-
-    /// The right payload, if any.
-    pub fn as_r(&self) -> Option<&B> {
-        match self {
-            Sum::L(_) => None,
-            Sum::R(b) => Some(b),
-        }
-    }
-}
-
 /// The disjoint union of two module languages: modules and cores are
 /// tagged with the language they belong to. `SumLang` is how a program
 /// links modules written in different languages (e.g. compiled x86

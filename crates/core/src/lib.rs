@@ -81,7 +81,7 @@ pub mod toy;
 pub mod wd;
 pub mod world;
 
-pub use explore::{AmpleHints, FxHashMap, FxHashSet, Reduction, VisitedMode};
+pub use explore::{AmpleHints, FxHashMap, FxHashSet, Reduction};
 pub use footprint::{Footprint, Mu};
 pub use interval::Interval;
 pub use lang::{Event, Lang, LocalStep, Prog, StepMsg, Sum, SumLang};

@@ -12,8 +12,7 @@
 //! exhaustive checking on bounded programs.
 
 use crate::explore::{
-    ws_explore_until, AmpleHints, FxHashSet, INpWorld, IStep, IWorld, ParEngine, ParPreemptive,
-    Reduction, ShardedCache, VisitedSet,
+    dfs_until, AmpleHints, FxHashMap, FxHashSet, INpWorld, IStep, IWorld, ParEngine, Reduction,
 };
 use crate::footprint::{AtomicBit, Footprint, TaggedFootprint};
 use crate::lang::{Lang, StepMsg};
@@ -22,17 +21,13 @@ use crate::npworld::{NpStep, NpWorld};
 use crate::refine::{collect_traces, ExploreCfg, Preemptive, Semantics, SuccStep, TraceSet};
 use crate::world::{GStep, LoadError, Loaded, ThreadId, ThreadState, ThreadStep};
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Predictions memoised per interned `(thread, memory, 𝕕)` triple.
-type PredCache = ShardedCache<Arc<[TaggedFootprint]>>;
+type PredCache = RefCell<FxHashMap<u64, Rc<[TaggedFootprint]>>>;
 
 /// A witness that two threads race.
-///
-/// `Ord` orders witnesses lexicographically by thread pair and footprint;
-/// the engine uses it to merge per-worker findings into the minimum
-/// witness.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RaceWitness {
     /// The first racing thread.
     pub t1: ThreadId,
@@ -218,24 +213,20 @@ fn find_conflict<P: AsRef<[TaggedFootprint]>>(preds: &[P]) -> Option<RaceWitness
 /// checks the `Race` rule at each world whose atomic bit is 0.
 ///
 /// `cfg.reduction` picks the explorer. [`Reduction::Off`] runs the
-/// exhaustive sequential oracle (`cfg.threads`, `cfg.visited` and
-/// `cfg.hints` do not apply). Any other reduction runs the
-/// [`ParEngine`] on the work-stealing frontier with `cfg.threads`
-/// workers over a `cfg.visited` visited set: the reduction runs inside
-/// each worker, widened by `cfg.hints`, and each claimed world is
-/// race-checked against predictions read off the engine's memoised
-/// per-`(thread, memory)` expansions. A
-/// race found in the reduced graph is always real (every reduced path
-/// is a path of the full graph); a DRF verdict also relies on the
-/// scoping discipline and the hints, so if the engine's monitor saw
-/// either violated, the check re-runs on the oracle.
+/// exhaustive sequential oracle (`cfg.hints` does not apply). Any other
+/// reduction runs a depth-first search on the [`ParEngine`] over an
+/// exact visited set, with the reduction widened by `cfg.hints`; each
+/// claimed world is race-checked against predictions read off the
+/// engine's memoised per-`(thread, memory)` expansions. A race found in
+/// the reduced graph is always real (every reduced path is a path of
+/// the full graph); a DRF verdict also relies on the scoping discipline
+/// and the hints, so if the engine's monitor saw either violated, the
+/// check re-runs on the oracle.
 ///
-/// Both explorers exit at the first race found. The *verdict* is
-/// deterministic whenever the exploration is not truncated
-/// (finding-a-race is monotone), but with more than one worker the
-/// reported witness and state count of a racy program depend on
-/// scheduling — only a full DRF run visits the whole graph. For the
-/// trace set too, from the same walk, see [`check_drf_with_traces`].
+/// Both explorers exit at the first race found, and both are
+/// deterministic: the same program and configuration give the same
+/// witness and state count. For the trace set too, from the same walk,
+/// see [`check_drf_with_traces`].
 ///
 /// # Errors
 ///
@@ -256,46 +247,34 @@ fn find_conflict<P: AsRef<[TaggedFootprint]>>(preds: &[P]) -> Option<RaceWitness
 /// assert!(!check_drf(&l, &ExploreCfg::default())?.is_drf());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn check_drf<L>(loaded: &Loaded<L>, cfg: &ExploreCfg) -> Result<DrfReport, LoadError>
-where
-    L: Lang + Sync,
-    L::Module: Sync,
-    L::Core: Send + Sync,
-{
+pub fn check_drf<L: Lang>(loaded: &Loaded<L>, cfg: &ExploreCfg) -> Result<DrfReport, LoadError> {
     if cfg.reduction == Reduction::Off {
         return check_drf_naive(loaded, cfg);
     }
     let eng = ParEngine::new(loaded, cfg.reduction, &cfg.hints);
     let init = eng.load()?;
-    let visited = VisitedSet::new(cfg.visited);
-    let pred_cache = PredCache::new();
-    let (eng_ref, cache_ref, visited_ref) = (&eng, &pred_cache, &visited);
-    let out = ws_explore_until(
-        &visited,
-        vec![init],
-        cfg.threads,
-        cfg.max_states,
-        |_wid| {
-            let mut steps: Vec<IStep> = Vec::new();
-            move |w, acc: &mut Option<RaceWitness>, buf| {
-                if !w.atom {
-                    merge_witness(acc, race_at(eng_ref, cache_ref, w, cfg.atomic_fuel));
-                }
-                eng_ref.successors_into(w, visited_ref, &mut steps);
-                buf.extend(steps.drain(..).filter_map(|s| match s {
-                    IStep::Next { world, .. } => Some(world),
-                    IStep::Abort => None,
-                }));
+    let cache = PredCache::default();
+    let mut race = None;
+    let mut steps = Vec::new();
+    let out = dfs_until(vec![init], cfg.max_states, |w, claimed, stack| {
+        if !w.atom {
+            race = race_at(&eng, &cache, w, cfg.atomic_fuel);
+            if race.is_some() {
+                return true;
             }
-        },
-        merge_witness,
-        |acc| acc.is_some(),
-    );
-    if out.acc.is_none() && !eng.scoping_ok() {
+        }
+        eng.successors_into(w, &|s| claimed.contains(s), &mut steps);
+        stack.extend(steps.drain(..).filter_map(|s| match s {
+            IStep::Next { world, .. } => Some(world),
+            IStep::Abort => None,
+        }));
+        false
+    });
+    if race.is_none() && !eng.scoping_ok() {
         return check_drf_naive(loaded, cfg);
     }
     Ok(DrfReport {
-        race: out.acc,
+        race,
         states: out.states,
         truncated: out.truncated,
     })
@@ -328,7 +307,7 @@ fn race_at<L: Lang>(
 /// The reduced trace walk with the `Race` rule checked at every world
 /// it expands whose atomic bit is 0, until the first race.
 struct RaceChecked<'a, L: Lang> {
-    sem: ParPreemptive<'a, L>,
+    engine: ParEngine<'a, L>,
     atomic_fuel: usize,
     cache: PredCache,
     race: RefCell<Option<RaceWitness>>,
@@ -338,18 +317,18 @@ impl<L: Lang> Semantics for RaceChecked<'_, L> {
     type State = IWorld;
 
     fn initials(&self) -> Result<Vec<IWorld>, LoadError> {
-        self.sem.initials()
+        self.engine.initials()
     }
 
-    fn successors(&self, w: &IWorld) -> Vec<SuccStep<IWorld>> {
+    fn successors(&self, w: &IWorld, expanded: &dyn Fn(&IWorld) -> bool) -> Vec<SuccStep<IWorld>> {
         if !w.atom && self.race.borrow().is_none() {
-            *self.race.borrow_mut() = race_at(&self.sem.engine, &self.cache, w, self.atomic_fuel);
+            *self.race.borrow_mut() = race_at(&self.engine, &self.cache, w, self.atomic_fuel);
         }
-        self.sem.successors(w)
+        self.engine.successors(w, expanded)
     }
 
     fn is_done(&self, w: &IWorld) -> bool {
-        self.sem.is_done(w)
+        self.engine.is_done(w)
     }
 }
 
@@ -364,33 +343,28 @@ impl<L: Lang> Semantics for RaceChecked<'_, L> {
 /// `states` is the walk's `expansions`. [`Reduction::Off`] runs the two
 /// oracles; a tripped scoping monitor re-collects the traces, and a
 /// clean verdict, on the oracles; a walk truncated without a race hands
-/// the verdict to `check_drf` (on `cfg.threads` workers), so a race past
-/// the walk's budget is still found.
+/// the verdict to `check_drf`, so a race past the walk's budget is
+/// still found.
 ///
 /// # Errors
 ///
 /// Propagates `Load` failures.
-pub fn check_drf_with_traces<L>(
+pub fn check_drf_with_traces<L: Lang>(
     loaded: &Loaded<L>,
     cfg: &ExploreCfg,
-) -> Result<(TraceSet, DrfReport), LoadError>
-where
-    L: Lang + Sync,
-    L::Module: Sync,
-    L::Core: Send + Sync,
-{
+) -> Result<(TraceSet, DrfReport), LoadError> {
     if cfg.reduction == Reduction::Off {
         let ts = collect_traces(&Preemptive(loaded), cfg)?;
         return Ok((ts, check_drf_naive(loaded, cfg)?));
     }
     let sem = RaceChecked {
-        sem: ParPreemptive::new(loaded, cfg.reduction, &cfg.hints),
+        engine: ParEngine::new(loaded, cfg.reduction, &cfg.hints),
         atomic_fuel: cfg.atomic_fuel,
-        cache: PredCache::new(),
+        cache: PredCache::default(),
         race: RefCell::new(None),
     };
     let mut ts = collect_traces(&sem, cfg)?;
-    let (race, scoped) = (sem.race.into_inner(), sem.sem.engine.scoping_ok());
+    let (race, scoped) = (sem.race.into_inner(), sem.engine.scoping_ok());
     let drf = match race {
         None if !scoped => check_drf_naive(loaded, cfg)?,
         None if ts.truncated => check_drf(loaded, cfg)?,
@@ -451,12 +425,6 @@ fn check_drf_naive<L: Lang>(loaded: &Loaded<L>, cfg: &ExploreCfg) -> Result<DrfR
     })
 }
 
-/// Merges two optional race witnesses, keeping the minimum (a
-/// commutative, associative monoid — the parallel merge step).
-fn merge_witness(total: &mut Option<RaceWitness>, other: Option<RaceWitness>) {
-    *total = total.take().into_iter().chain(other).min();
-}
-
 /// The per-thread dynamic footprint unions of [`collect_footprints`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FootprintReport {
@@ -478,9 +446,7 @@ pub struct FootprintReport {
 /// [`check_drf`] does, with the same monitored fallback (under the
 /// scoping discipline the reduction only reorders thread-private steps,
 /// so every thread still takes every local transition it can and the
-/// per-thread unions are unchanged). Per-worker unions are merged
-/// elementwise, a commutative monoid, so the report is deterministic
-/// whenever it is not truncated.
+/// per-thread unions are unchanged).
 ///
 /// This is the concurrent counterpart of
 /// [`run_main_traced`](crate::world::run_main_traced): the dynamic
@@ -490,54 +456,30 @@ pub struct FootprintReport {
 /// # Errors
 ///
 /// Propagates `Load` failures.
-pub fn collect_footprints<L>(
+pub fn collect_footprints<L: Lang>(
     loaded: &Loaded<L>,
     cfg: &ExploreCfg,
-) -> Result<FootprintReport, LoadError>
-where
-    L: Lang + Sync,
-    L::Module: Sync,
-    L::Core: Send + Sync,
-{
+) -> Result<FootprintReport, LoadError> {
     if cfg.reduction == Reduction::Off {
         return collect_footprints_naive(loaded, cfg);
     }
-    let n = loaded.prog.entries.len();
     let eng = ParEngine::new(loaded, cfg.reduction, &cfg.hints);
     let init = eng.load()?;
-    let visited = VisitedSet::new(cfg.visited);
-    let (eng_ref, visited_ref) = (&eng, &visited);
-    let out = ws_explore_until(
-        &visited,
-        vec![init],
-        cfg.threads,
-        cfg.max_states,
-        |_wid| {
-            let mut steps: Vec<IStep> = Vec::new();
-            move |w, acc: &mut Vec<Footprint>, buf| {
-                if acc.is_empty() {
-                    *acc = vec![Footprint::emp(); n];
-                }
-                eng_ref.successors_into(w, visited_ref, &mut steps);
-                for s in steps.drain(..) {
-                    if let IStep::Next { fp, tid, world, .. } = s {
-                        acc[tid].extend(&fp);
-                        buf.push(world);
-                    }
-                }
+    let mut fps = vec![Footprint::emp(); loaded.prog.entries.len()];
+    let mut steps = Vec::new();
+    let out = dfs_until(vec![init], cfg.max_states, |w, claimed, stack| {
+        eng.successors_into(w, &|s| claimed.contains(s), &mut steps);
+        for s in steps.drain(..) {
+            if let IStep::Next { fp, tid, world, .. } = s {
+                fps[tid].extend(&fp);
+                stack.push(world);
             }
-        },
-        merge_fps,
-        |_: &Vec<Footprint>| false,
-    );
+        }
+        false
+    });
     if !eng.scoping_ok() {
         return collect_footprints_naive(loaded, cfg);
     }
-    let fps = if out.acc.is_empty() {
-        vec![Footprint::emp(); n]
-    } else {
-        out.acc
-    };
     Ok(FootprintReport {
         fps,
         states: out.states,
@@ -580,28 +522,15 @@ fn collect_footprints_naive<L: Lang>(
     })
 }
 
-/// Elementwise union of per-worker footprint vectors (a commutative
-/// monoid; the empty vector is the identity).
-fn merge_fps(total: &mut Vec<Footprint>, part: Vec<Footprint>) {
-    if total.is_empty() {
-        *total = part;
-    } else if !part.is_empty() {
-        for (t, p) in total.iter_mut().zip(part) {
-            t.extend(&p);
-        }
-    }
-}
-
 /// `NPDRF(P)`: the race check over the non-preemptive semantics. Threads
 /// parked inside an atomic block (their bit in `𝕕` is 1) contribute the
 /// `τ*` suffix of their pending block as an atomic prediction.
 ///
 /// [`Reduction::Off`] runs the exhaustive sequential oracle; any other
-/// `cfg.reduction` runs the engine: interned worlds
-/// ([`ParEngine::intern_np_world`]) stepped over the memoised
+/// `cfg.reduction` runs a depth-first search on the engine: interned
+/// worlds ([`ParEngine::intern_np_world`]) stepped over the memoised
 /// per-`(thread, memory)` expansions ([`ParEngine::np_successors_into`])
-/// on the work-stealing frontier, with `cfg.threads` workers over a
-/// `cfg.visited` visited set, and [`predict_np`]'s block predictions
+/// over an exact visited set, and [`predict_np`]'s block predictions
 /// read off the memoised expansions and memoised per interned
 /// `(thread, memory, 𝕕)` triple. The non-preemptive graph is already
 /// interleaving-minimal (switch points only at atomic boundaries and
@@ -612,12 +541,7 @@ fn merge_fps(total: &mut Vec<Footprint>, part: Vec<Footprint>) {
 /// # Errors
 ///
 /// Propagates `Load` failures.
-pub fn check_npdrf<L>(loaded: &Loaded<L>, cfg: &ExploreCfg) -> Result<DrfReport, LoadError>
-where
-    L: Lang + Sync,
-    L::Module: Sync,
-    L::Core: Send + Sync,
-{
+pub fn check_npdrf<L: Lang>(loaded: &Loaded<L>, cfg: &ExploreCfg) -> Result<DrfReport, LoadError> {
     let initials = (0..loaded.prog.entries.len())
         .map(|t| loaded.np_load_with_first(t))
         .collect::<Result<Vec<_>, _>>()?;
@@ -625,37 +549,31 @@ where
         return Ok(check_npdrf_naive(loaded, initials, cfg));
     }
     let eng = ParEngine::new(loaded, Reduction::Off, &AmpleHints::default());
-    let pred_cache = PredCache::new();
-    let (eng_ref, cache_ref) = (&eng, &pred_cache);
-    let out = ws_explore_until(
-        &VisitedSet::new(cfg.visited),
-        initials
-            .into_iter()
-            .map(|w| eng.intern_np_world(w))
-            .collect(),
-        cfg.threads,
-        cfg.max_states,
-        |_wid| {
-            let mut preds = Vec::new();
-            move |w: &INpWorld, acc: &mut Option<RaceWitness>, buf: &mut Vec<INpWorld>| {
-                preds.clear();
-                preds.extend(w.threads.iter().zip(&w.dbits).map(|(&tid, &d)| {
-                    let bit = [AtomicBit::Outside, AtomicBit::Inside][usize::from(d)];
-                    eng_ref.memoised(cache_ref, tid, w.mem, d, || {
-                        eng_ref
-                            .block_predictions(tid, w.mem, cfg.atomic_fuel, true, bit)
-                            .into()
-                    })
-                }));
-                merge_witness(acc, find_conflict(&preds));
-                eng_ref.np_successors_into(w, buf);
-            }
-        },
-        merge_witness,
-        |acc| acc.is_some(),
-    );
+    let initials = initials
+        .into_iter()
+        .map(|w| eng.intern_np_world(w))
+        .collect();
+    let cache = PredCache::default();
+    let mut race = None;
+    let mut preds = Vec::new();
+    let out = dfs_until(initials, cfg.max_states, |w: &INpWorld, _, stack| {
+        preds.clear();
+        preds.extend(w.threads.iter().zip(&w.dbits).map(|(&tid, &d)| {
+            let bit = [AtomicBit::Outside, AtomicBit::Inside][usize::from(d)];
+            eng.memoised(&cache, tid, w.mem, d, || {
+                eng.block_predictions(tid, w.mem, cfg.atomic_fuel, true, bit)
+                    .into()
+            })
+        }));
+        race = find_conflict(&preds);
+        if race.is_some() {
+            return true;
+        }
+        eng.np_successors_into(w, stack);
+        false
+    });
     Ok(DrfReport {
-        race: out.acc,
+        race,
         states: out.states,
         truncated: out.truncated,
     })
@@ -713,7 +631,6 @@ fn check_npdrf_naive<L: Lang>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::VisitedMode;
     use crate::lang::Prog;
     use crate::toy::{toy_globals, toy_module, ToyInstr, ToyLang};
     use ToyInstr::{Add, Bnz, Const, EntAtom, ExtAtom, Jmp, Print, Ret};
@@ -741,24 +658,20 @@ mod tests {
     }
 
     /// The oracle's `(DRF, NPDRF)` verdicts, after checking that the
-    /// engine gives the same ones at 1 and 2 workers, and on a race-free
-    /// program the same NPDRF state count.
+    /// engine gives the same ones, and on a race-free program the same
+    /// NPDRF state count.
     fn verdicts(l: &Loaded<ToyLang>) -> (bool, bool) {
         let oracle = ExploreCfg::default();
         let drf = check_drf(l, &oracle).expect("drf").is_drf();
         let np = check_npdrf(l, &oracle).expect("npdrf");
-        for threads in [1, 2] {
-            let cfg = ExploreCfg {
-                reduction: Reduction::Ample,
-                threads,
-                visited: VisitedMode::Exact,
-                ..oracle.clone()
-            };
-            assert_eq!(check_drf(l, &cfg).expect("drf").is_drf(), drf, "{threads}");
-            let e = check_npdrf(l, &cfg).expect("npdrf");
-            assert_eq!(e.is_drf(), np.is_drf(), "NPDRF at {threads} workers");
-            assert!(!np.is_drf() || e.states == np.states, "{threads} workers");
-        }
+        let cfg = ExploreCfg {
+            reduction: Reduction::Ample,
+            ..oracle
+        };
+        assert_eq!(check_drf(l, &cfg).expect("drf").is_drf(), drf);
+        let e = check_npdrf(l, &cfg).expect("npdrf");
+        assert_eq!(e.is_drf(), np.is_drf(), "NPDRF");
+        assert!(!np.is_drf() || e.states == np.states, "NPDRF states");
         (drf, np.is_drf())
     }
 
@@ -847,27 +760,26 @@ mod tests {
                     ..ExploreCfg::default()
                 };
                 let eng = ParEngine::new(l, Reduction::Off, &AmpleHints::default());
-                let visited = VisitedSet::new(VisitedMode::Exact);
-                let mut stack = vec![eng.load().expect("load")];
                 let mut steps = Vec::new();
-                while let Some(w) = stack.pop() {
-                    if visited.insert(&w) {
-                        eng.successors_into(&w, &visited, &mut steps);
+                dfs_until(
+                    vec![eng.load().expect("load")],
+                    usize::MAX,
+                    |w, claimed, stack| {
+                        eng.successors_into(w, &|s| claimed.contains(s), &mut steps);
                         stack.extend(steps.drain(..).filter_map(|s| match s {
                             IStep::Next { world, .. } => Some(world),
                             IStep::Abort => None,
                         }));
-                    }
-                }
-                let np_visited = VisitedSet::new(VisitedMode::Exact);
-                let mut np_stack: Vec<INpWorld> = (0..2)
+                        false
+                    },
+                );
+                let np_initials: Vec<INpWorld> = (0..2)
                     .map(|t| eng.intern_np_world(l.np_load_with_first(t).expect("load")))
                     .collect();
-                while let Some(w) = np_stack.pop() {
-                    if np_visited.insert(&w) {
-                        eng.np_successors_into(&w, &mut np_stack);
-                    }
-                }
+                dfs_until(np_initials, usize::MAX, |w, _, stack| {
+                    eng.np_successors_into(w, stack);
+                    false
+                });
                 let pairs = eng.expanded_pairs();
                 assert!(pairs.len() > 4, "program {i}: {} pairs", pairs.len());
                 for (tid, mid, t) in pairs {

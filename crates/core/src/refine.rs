@@ -18,7 +18,7 @@
 //! equivalence `let Π in f1 | … | fn ≈ let Π in f1 ∥ … ∥ fn` for DRF
 //! programs (Lem. 9, steps ① and ② of Fig. 2).
 
-use crate::explore::{AmpleHints, FxHashMap, FxHashSet, ParPreemptive, Reduction, VisitedMode};
+use crate::explore::{AmpleHints, FxHashMap, FxHashSet, ParEngine, Reduction};
 use crate::lang::{Event, Lang};
 use crate::npworld::{NpStep, NpWorld};
 use crate::world::{GLabel, GStep, LoadError, Loaded, World};
@@ -43,18 +43,11 @@ pub struct ExploreCfg {
     /// (NPDRF has none and runs the engine on non-preemptive worlds
     /// unreduced).
     pub reduction: Reduction,
-    /// Workers of the engine's work-stealing frontier; `0` and `1` both
-    /// mean one worker, run inline on the calling thread. The oracle
-    /// (`Reduction::Off`), trace collection, and the `check_safe`,
-    /// `count_states`, `ReachClose` and well-definedness checks are
-    /// sequential and ignore it.
+    /// Ignored: every exploration runs on the calling thread. The field
+    /// stays only because the benchmark package (`perfbench/`) still
+    /// sets it; it goes with the `check_*_par` re-exports at the next
+    /// change to the benchmark.
     pub threads: usize,
-    /// How the engine's frontier stores its visited set: compact
-    /// 64-bit fingerprints (the default) or exact states — see
-    /// [`crate::explore::VisitedMode`] for the collision trade-off.
-    /// Soundness-sensitive callers (the fuzz oracle) pick `Exact`. The
-    /// sequential explorers always store exact states.
-    pub visited: VisitedMode,
     /// Untrusted per-thread privacy hints that widen the ample
     /// criterion (see [`AmpleHints`]); empty by default. The engine
     /// monitors them and falls back to the oracle when one is violated,
@@ -70,7 +63,6 @@ impl Default for ExploreCfg {
             atomic_fuel: 64,
             reduction: Reduction::Off,
             threads: 1,
-            visited: VisitedMode::Fingerprint,
             hints: AmpleHints::default(),
         }
     }
@@ -176,8 +168,15 @@ pub trait Semantics {
     /// Propagates the `Load` rule's side-condition failures.
     fn initials(&self) -> Result<Vec<Self::State>, LoadError>;
 
-    /// All successor steps of `s`.
-    fn successors(&self, s: &Self::State) -> Vec<SuccStep<Self::State>>;
+    /// All successor steps of `s`. `expanded` tells whether the calling
+    /// exploration has already claimed a state for expansion (`s` among
+    /// them): a partial-order reduction's cycle guard asks it, and the
+    /// unreduced semantics ignore it.
+    fn successors(
+        &self,
+        s: &Self::State,
+        expanded: &dyn Fn(&Self::State) -> bool,
+    ) -> Vec<SuccStep<Self::State>>;
 
     /// True if `s` is a terminated (done) state.
     fn is_done(&self, s: &Self::State) -> bool;
@@ -196,7 +195,7 @@ impl<L: Lang> Semantics for Preemptive<'_, L> {
         Ok(vec![self.0.load()?])
     }
 
-    fn successors(&self, s: &World<L>) -> Vec<SuccStep<World<L>>> {
+    fn successors(&self, s: &World<L>, _: &dyn Fn(&World<L>) -> bool) -> Vec<SuccStep<World<L>>> {
         self.0
             .step_preemptive_sched(s)
             .into_iter()
@@ -231,7 +230,11 @@ impl<L: Lang> Semantics for NonPreemptive<'_, L> {
         (0..n).map(|t| self.0.np_load_with_first(t)).collect()
     }
 
-    fn successors(&self, s: &NpWorld<L>) -> Vec<SuccStep<NpWorld<L>>> {
+    fn successors(
+        &self,
+        s: &NpWorld<L>,
+        _: &dyn Fn(&NpWorld<L>) -> bool,
+    ) -> Vec<SuccStep<NpWorld<L>>> {
         self.0
             .step_np(s)
             .into_iter()
@@ -348,7 +351,12 @@ impl<S: Semantics> Collector<'_, S> {
     fn open_frame(&mut self, state: S::State, edge: Option<Event>) -> TraceFrame<S::State> {
         self.expansions += 1;
         self.on_path.insert(state.clone());
-        let succs = self.sem.successors(&state);
+        // Every state expanded so far is on the path or memoised. The
+        // memo also holds done states, which were never expanded; no
+        // reduction asks about one (a done world has no live thread).
+        let (memo, on_path) = (&self.memo, &self.on_path);
+        let expanded = |s: &S::State| on_path.contains(s) || memo.contains_key(s);
+        let succs = self.sem.successors(&state, &expanded);
         let out = succs.is_empty().then(|| self.just(Terminal::Abort));
         TraceFrame {
             state,
@@ -467,13 +475,11 @@ pub fn collect_traces<S: Semantics>(sem: &S, cfg: &ExploreCfg) -> Result<TraceSe
 /// preemptive semantics, honouring `cfg.reduction` and `cfg.hints`:
 /// with [`Reduction::Off`] this is exactly
 /// `collect_traces(&Preemptive(l))`; otherwise [`collect_traces`] runs
-/// single-threaded over the interned, memoised, partial-order-reducing
-/// [`ParEngine`](crate::explore::ParEngine) — the engine the DRF checks
-/// use — and if its scoping monitor trips (a step's footprint escaped
-/// its thread's region or a hint, voiding the independence argument)
-/// the exhaustive exploration is re-run so the result is always sound.
-/// `cfg.threads` and `cfg.visited` do not apply: the ample cycle guard
-/// always checks an exact set of expanded states.
+/// over the interned, memoised, partial-order-reducing [`ParEngine`] —
+/// the engine the DRF checks use — and if its scoping monitor trips (a
+/// step's footprint escaped its thread's region or a hint, voiding the
+/// independence argument) the exhaustive exploration is re-run so the
+/// result is always sound.
 ///
 /// # Errors
 ///
@@ -485,9 +491,9 @@ pub fn collect_traces_preemptive<L: Lang>(
     if cfg.reduction == Reduction::Off {
         return collect_traces(&Preemptive(loaded), cfg);
     }
-    let sem = ParPreemptive::new(loaded, cfg.reduction, &cfg.hints);
-    let ts = collect_traces(&sem, cfg)?;
-    if sem.engine.scoping_ok() {
+    let engine = ParEngine::new(loaded, cfg.reduction, &cfg.hints);
+    let ts = collect_traces(&engine, cfg)?;
+    if engine.scoping_ok() {
         Ok(ts)
     } else {
         collect_traces(&Preemptive(loaded), cfg)
@@ -569,7 +575,7 @@ pub fn check_safe<S: Semantics>(sem: &S, cfg: &ExploreCfg) -> Result<SafetyRepor
             truncated = true;
             break;
         }
-        for succ in sem.successors(&s) {
+        for succ in sem.successors(&s, &|t| visited.contains(t)) {
             match succ {
                 SuccStep::Next { state, .. } => {
                     if !visited.contains(&state) {
@@ -611,7 +617,7 @@ pub fn count_states<S: Semantics>(sem: &S, cfg: &ExploreCfg) -> Result<SafetyRep
             truncated = true;
             break;
         }
-        for succ in sem.successors(&s) {
+        for succ in sem.successors(&s, &|t| visited.contains(t)) {
             if let SuccStep::Next { state, .. } = succ {
                 if !visited.contains(&state) {
                     stack.push(state);

@@ -36,7 +36,7 @@ use ccc_core::mem::GlobalEnv;
 use ccc_core::race::check_drf_with_traces;
 use ccc_core::refine::{collect_traces_preemptive, trace_equiv, ExploreCfg, Terminal, Trace};
 use ccc_core::world::{replay_schedule, run_main_traced, run_schedule_recorded, Loaded, RunEnd};
-use ccc_core::{Reduction, VisitedMode};
+use ccc_core::Reduction;
 use ccc_machine::{X86Sc, X86Tso};
 use ccc_sync::lock::lock_spec;
 use rand::rngs::StdRng;
@@ -66,10 +66,9 @@ pub struct OracleCfg {
     /// Fuel for the deterministic per-stage runs (sequential shape).
     pub seq_fuel: usize,
     /// Exploration budget for the concurrent shape. Each stage's trace
-    /// set and DRF verdict come from one single-threaded walk
-    /// ([`check_drf_with_traces`]), as does the TSO trace collection;
-    /// `explore.threads` applies only to the `check_drf` that walk falls
-    /// back to when it is truncated without finding a race.
+    /// set and DRF verdict come from one walk
+    /// ([`check_drf_with_traces`]); the TSO stage collects traces
+    /// alone.
     pub explore: ExploreCfg,
     /// Step bound for the schedule record/replay probe.
     pub schedule_steps: usize,
@@ -93,16 +92,11 @@ impl Default for OracleCfg {
             // the slowest over the 80 concurrent inputs of
             // `stream_input(0..300)` on a 2-core Xeon.
             // Ample reduction and one walk per stage for traces and
-            // DRF keep the per-stage cost low; `Exact` visited storage (no hash
-            // compaction) because a fingerprint collision could hide a
-            // state and turn a genuine disagreement into silent
-            // agreement.
+            // DRF keep the per-stage cost low.
             explore: ExploreCfg {
                 fuel: 400,
                 max_states: 40_000,
                 reduction: Reduction::Ample,
-                threads: 2,
-                visited: VisitedMode::Exact,
                 ..ExploreCfg::default()
             },
             schedule_steps: 100_000,
@@ -231,12 +225,7 @@ struct ConcObs {
     drf: Option<bool>,
 }
 
-fn observe_conc<L>(loaded: &Loaded<L>, cfg: &ExploreCfg) -> Result<ConcObs, String>
-where
-    L: Lang + Sync,
-    L::Module: Sync,
-    L::Core: Send + Sync,
-{
+fn observe_conc<L: Lang>(loaded: &Loaded<L>, cfg: &ExploreCfg) -> Result<ConcObs, String> {
     let (ts, drf) = check_drf_with_traces(loaded, cfg).map_err(|e| format!("{e:?}"))?;
     Ok(ConcObs {
         traces: (!ts.truncated).then_some(ts),

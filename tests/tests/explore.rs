@@ -1,22 +1,20 @@
 //! Differential battery for the exploration engine: on generated toy,
 //! Clight, x86-TSO, and x86 (SC/TSO litmus) programs, the
-//! footprint-directed ample reduction on the work-stealing engine — at
-//! one worker and at three, under both the fingerprint and the exact
-//! visited-set representations — must agree with the naive exhaustive
-//! oracle on every observable: DRF and NPDRF verdicts, per-thread
-//! footprint unions, and full trace sets. On race-free programs the
-//! engine's NPDRF state count must also equal the oracle's, at one and
-//! two workers over exact visited sets. Escape-analysis hints are
-//! checked at one and three workers too, and the engine's one-worker
-//! state counts are pinned to those of the sequential engine it
-//! replaced.
+//! footprint-directed ample reduction on the memoised engine must agree
+//! with the naive exhaustive oracle on every observable: DRF and NPDRF
+//! verdicts, per-thread footprint unions, and full trace sets. On
+//! race-free programs the engine's NPDRF state count must also equal
+//! the oracle's. Escape-analysis hints are checked too, and the
+//! engine's state counts are pinned to those of the sequential engine
+//! it replaced; on racy programs the reported witness and state count
+//! are pinned as well.
 //!
 //! The file ends with two seeded mutants, each caught through both the
 //! DRF check and trace collection: a deliberately overbroad ample
 //! condition (`Reduction::AmpleOverbroad`, which also treats silent
 //! *global* accesses as independent) must flip the DRF verdict on a
 //! program whose race hides behind private prefixes and lose traces
-//! that depend on a racing write, and a worker that skips the seen-set
+//! that depend on a racing write, and a search that skips the seen-set
 //! cycle re-expansion (`Reduction::AmpleIgnoreCycles`, the C3
 //! "ignoring problem") must ample-loop through a silent spin, missing a
 //! race and the prints every other engine reports — evidence that this
@@ -26,9 +24,6 @@
 //! the separate trace collection and the separate DRF verdict. A last
 //! test pins the expansion and trace counts of the fuzz oracle's TSO
 //! trace collection on three stream inputs.
-//!
-//! `Reduction::Off` ignores `threads`: there is one oracle, and it is
-//! sequential.
 
 use ccc_analysis::{ample_hints, LockModel};
 use ccc_clight::ast::{Expr, Function, Stmt};
@@ -41,7 +36,7 @@ use ccc_core::race::{check_drf, check_drf_with_traces, check_npdrf, collect_foot
 use ccc_core::refine::{collect_traces_preemptive, ExploreCfg};
 use ccc_core::toy::{toy_globals, toy_module, ToyInstr, ToyLang};
 use ccc_core::world::Loaded;
-use ccc_core::{AmpleHints, Reduction, VisitedMode};
+use ccc_core::{AmpleHints, Reduction};
 use ccc_fuzz::link::{link_with_lock, load_client, SrcLang};
 use ccc_fuzz::mutation::stream_input;
 use ccc_fuzz::toygen::{arb_toy_threads, toy_loaded, Op};
@@ -50,12 +45,11 @@ use ccc_fuzz::{lower, OracleCfg};
 use ccc_machine::{litmus, AsmModule, X86Sc, X86Tso};
 use proptest::prelude::*;
 
-fn cfg_with(reduction: Reduction, threads: usize) -> ExploreCfg {
+fn cfg_with(reduction: Reduction) -> ExploreCfg {
     ExploreCfg {
         fuel: 240,
         max_states: 600_000,
         reduction,
-        threads,
         ..Default::default()
     }
 }
@@ -63,72 +57,29 @@ fn cfg_with(reduction: Reduction, threads: usize) -> ExploreCfg {
 /// Runs the oracle and the engine on one program and cross-checks
 /// every observable. `traces` additionally compares the full trace sets
 /// (viable only when the interleaving space is small).
-fn assert_engines_agree<L>(name: &str, loaded: &Loaded<L>, traces: bool)
-where
-    L: Lang + Sync,
-    L::Module: Sync,
-    L::Core: Send + Sync,
-{
-    let naive_cfg = cfg_with(Reduction::Off, 1);
-    let ample_cfg = cfg_with(Reduction::Ample, 1);
-    let ws_cfg = cfg_with(Reduction::Ample, 3);
+fn assert_engines_agree<L: Lang>(name: &str, loaded: &Loaded<L>, traces: bool) {
+    let naive_cfg = cfg_with(Reduction::Off);
+    let ample_cfg = cfg_with(Reduction::Ample);
 
     let naive = check_drf(loaded, &naive_cfg).expect("loads");
     assert!(
         !naive.truncated,
         "{name}: truncated exploration proves nothing"
     );
-    // The engine at one worker and at three, under both visited-set
-    // representations (fingerprints may only force *more* expansion on
-    // collision, never less — the verdict must be identical).
-    for cfg in [&ample_cfg, &ws_cfg] {
-        for visited in [VisitedMode::Fingerprint, VisitedMode::Exact] {
-            let ws = check_drf(
-                loaded,
-                &ExploreCfg {
-                    visited,
-                    ..cfg.clone()
-                },
-            )
-            .expect("loads");
-            assert!(!ws.truncated, "{name}: engine exploration truncated");
-            assert_eq!(
-                naive.is_drf(),
-                ws.is_drf(),
-                "{name}: DRF verdict ({} workers, {visited:?})",
-                cfg.threads
-            );
-        }
-    }
+    let ample = check_drf(loaded, &ample_cfg).expect("loads");
+    assert!(!ample.truncated, "{name}: engine exploration truncated");
+    assert_eq!(naive.is_drf(), ample.is_drf(), "{name}: DRF verdict");
 
     // The non-preemptive graph has no reduction, so on a race-free
     // program (explored to exhaustion) the engine must visit exactly the
-    // oracle's worlds: the state count is pinned under exact visited
-    // sets at one and two workers.
+    // oracle's worlds.
     let np = check_npdrf(loaded, &naive_cfg).expect("loads");
     assert!(!np.truncated, "{name}: NPDRF truncated");
-    for (workers, visited) in [
-        (1, VisitedMode::Exact),
-        (2, VisitedMode::Exact),
-        (3, VisitedMode::Fingerprint),
-    ] {
-        let cfg = ExploreCfg {
-            visited,
-            ..cfg_with(Reduction::Ample, workers)
-        };
-        let np_ws = check_npdrf(loaded, &cfg).expect("loads");
-        assert!(!np_ws.truncated, "{name}: NPDRF truncated");
-        assert_eq!(
-            np.is_drf(),
-            np_ws.is_drf(),
-            "{name}: NPDRF verdict ({workers} workers, {visited:?})"
-        );
-        if np.is_drf() && visited == VisitedMode::Exact {
-            assert_eq!(
-                np.states, np_ws.states,
-                "{name}: NPDRF state count ({workers} workers)"
-            );
-        }
+    let np_engine = check_npdrf(loaded, &ample_cfg).expect("loads");
+    assert!(!np_engine.truncated, "{name}: NPDRF truncated");
+    assert_eq!(np.is_drf(), np_engine.is_drf(), "{name}: NPDRF verdict");
+    if np.is_drf() {
+        assert_eq!(np.states, np_engine.states, "{name}: NPDRF state count");
     }
 
     let fp_naive = collect_footprints(loaded, &naive_cfg).expect("loads");
@@ -136,15 +87,12 @@ where
         !fp_naive.truncated,
         "{name}: footprint exploration truncated"
     );
-    for cfg in [&ample_cfg, &ws_cfg] {
-        let fp_ws = collect_footprints(loaded, cfg).expect("loads");
-        assert!(!fp_ws.truncated, "{name}: footprint exploration truncated");
-        assert_eq!(
-            fp_naive.fps, fp_ws.fps,
-            "{name}: footprint unions ({} workers)",
-            cfg.threads
-        );
-    }
+    let fp_ample = collect_footprints(loaded, &ample_cfg).expect("loads");
+    assert!(
+        !fp_ample.truncated,
+        "{name}: footprint exploration truncated"
+    );
+    assert_eq!(fp_naive.fps, fp_ample.fps, "{name}: footprint unions");
 
     if traces {
         let ts_naive = collect_traces_preemptive(loaded, &naive_cfg).expect("loads");
@@ -296,40 +244,35 @@ fn private_global_client(threads: usize, depth: usize) -> (Loaded<ClightLang>, A
     (loaded, hints)
 }
 
-/// `cfg_with(Reduction::Ample, workers)` carrying `hints`.
-fn hinted_cfg(workers: usize, hints: &AmpleHints) -> ExploreCfg {
+/// `cfg_with(Reduction::Ample)` carrying `hints`.
+fn hinted_cfg(hints: &AmpleHints) -> ExploreCfg {
     ExploreCfg {
         hints: hints.clone(),
-        ..cfg_with(Reduction::Ample, workers)
+        ..cfg_with(Reduction::Ample)
     }
 }
 
 #[test]
 fn escape_hints_collapse_private_globals_without_changing_observables() {
-    // With five threads the hinted graph (821 states) outgrows the
-    // inline burst, so three workers really share it.
     for (threads, depth) in [(2, 3), (5, 1)] {
         let (loaded, hints) = private_global_client(threads, depth);
         assert!(hints.private.iter().all(|s| s.len() == 1));
-        let naive_cfg = cfg_with(Reduction::Off, 1);
+        let naive_cfg = cfg_with(Reduction::Off);
         let naive = check_drf(&loaded, &naive_cfg).expect("loads");
         let fp_naive = collect_footprints(&loaded, &naive_cfg).expect("loads");
         assert!(!naive.truncated && naive.is_drf());
-        for workers in [1, 3] {
-            let name = format!("{threads} threads, {workers} workers");
-            let ample = check_drf(&loaded, &cfg_with(Reduction::Ample, workers)).expect("loads");
-            let hinted = check_drf(&loaded, &hinted_cfg(workers, &hints)).expect("loads");
-            assert!(!hinted.truncated && hinted.is_drf(), "{name}");
-            assert!(
-                hinted.states < ample.states,
-                "hints must collapse the global grinds ({name}: {} vs {} states)",
-                hinted.states,
-                ample.states
-            );
-            let fp_hinted =
-                collect_footprints(&loaded, &hinted_cfg(workers, &hints)).expect("loads");
-            assert_eq!(fp_naive.fps, fp_hinted.fps, "footprint unions ({name})");
-        }
+        let name = format!("{threads} threads");
+        let ample = check_drf(&loaded, &cfg_with(Reduction::Ample)).expect("loads");
+        let hinted = check_drf(&loaded, &hinted_cfg(&hints)).expect("loads");
+        assert!(!hinted.truncated && hinted.is_drf(), "{name}");
+        assert!(
+            hinted.states < ample.states,
+            "hints must collapse the global grinds ({name}: {} vs {} states)",
+            hinted.states,
+            ample.states
+        );
+        let fp_hinted = collect_footprints(&loaded, &hinted_cfg(&hints)).expect("loads");
+        assert_eq!(fp_naive.fps, fp_hinted.fps, "footprint unions ({name})");
     }
 }
 
@@ -345,14 +288,9 @@ fn lying_hints_trip_the_monitor_and_keep_the_race() {
     let lying = AmpleHints {
         private: vec![[x].into(), [].into()],
     };
-    for workers in [1, 3] {
-        let hinted = check_drf(&loaded, &hinted_cfg(workers, &lying)).expect("loads");
-        assert!(!hinted.truncated);
-        assert!(
-            !hinted.is_drf(),
-            "the race must survive lying hints at {workers} workers"
-        );
-    }
+    let hinted = check_drf(&loaded, &hinted_cfg(&lying)).expect("loads");
+    assert!(!hinted.truncated);
+    assert!(!hinted.is_drf(), "the race must survive lying hints");
 }
 
 #[test]
@@ -366,36 +304,25 @@ fn non_disjoint_hints_are_dropped() {
         private: vec![[p0].into(), [p0].into()],
     };
     assert!(!overlapping.disjoint());
-    for workers in [1, 3] {
-        // The 43 states fit in the inline burst, so even three workers
-        // claim them in one order and the counts are comparable.
-        let plain = check_drf(&loaded, &cfg_with(Reduction::Ample, workers)).expect("loads");
-        let hinted = check_drf(&loaded, &hinted_cfg(workers, &overlapping)).expect("loads");
-        assert_eq!(
-            plain.states, hinted.states,
-            "dropped hints change nothing at {workers} workers"
-        );
-        assert_eq!(plain.is_drf(), hinted.is_drf());
-    }
+    let plain = check_drf(&loaded, &cfg_with(Reduction::Ample)).expect("loads");
+    let hinted = check_drf(&loaded, &hinted_cfg(&overlapping)).expect("loads");
+    assert_eq!(plain.states, hinted.states, "dropped hints change nothing");
+    assert_eq!(plain.is_drf(), hinted.is_drf());
 }
 
 #[test]
 fn one_worker_state_counts_match_the_sequential_engine() {
-    // Recorded on the sequential `Engine` that the one-worker engine
+    // Recorded on the sequential `Engine` that the memoised engine
     // replaced: `check_drf` and `collect_footprints` states at
-    // `Reduction::Ample`, plain and with escape hints. One worker over
-    // an exact visited set claims states in the same depth-first order
-    // and makes the same ample choices, so the counts must not move.
-    let exact = |hints: &AmpleHints| ExploreCfg {
-        visited: VisitedMode::Exact,
-        ..hinted_cfg(1, hints)
-    };
+    // `Reduction::Ample`, plain and with escape hints. The search claims
+    // states in the same depth-first order and makes the same ample
+    // choices, so the counts must not move.
     let none = AmpleHints::default();
     for (depth, plain, hinted) in [(2, 43, 19), (3, 63, 21), (4, 87, 23)] {
         let (loaded, hints) = private_global_client(2, depth);
         for (h, want) in [(&none, plain), (&hints, hinted)] {
-            let drf = check_drf(&loaded, &exact(h)).expect("loads");
-            let fp = collect_footprints(&loaded, &exact(h)).expect("loads");
+            let drf = check_drf(&loaded, &hinted_cfg(h)).expect("loads");
+            let fp = collect_footprints(&loaded, &hinted_cfg(h)).expect("loads");
             assert!(drf.is_drf() && !drf.truncated && !fp.truncated);
             assert_eq!(
                 (drf.states, fp.states),
@@ -415,13 +342,32 @@ fn one_worker_state_counts_match_the_sequential_engine() {
         (3, true, 8, false, 87),
     ] {
         let loaded = clight_loaded(seed, 2, racy);
-        let drf = check_drf(&loaded, &exact(&none)).expect("loads");
-        let fp = collect_footprints(&loaded, &exact(&none)).expect("loads");
+        let drf = check_drf(&loaded, &hinted_cfg(&none)).expect("loads");
+        let fp = collect_footprints(&loaded, &hinted_cfg(&none)).expect("loads");
         assert_eq!(
             (drf.states, drf.is_drf(), fp.states),
             (drf_states, is_drf, fp_states),
             "clight_loaded({seed}, 2, {racy})"
         );
+    }
+}
+
+#[test]
+fn racy_explorations_report_one_witness() {
+    // The search is single-threaded, so the first race it meets — and
+    // with it the witness and the state count — is a function of the
+    // program alone.
+    for seed in [0, 3] {
+        let loaded = clight_loaded(seed, 2, true);
+        let cfg = cfg_with(Reduction::Ample);
+        let first = check_drf(&loaded, &cfg).expect("loads");
+        let race = first.race.as_ref().expect("racy");
+        assert_eq!(
+            (race.t1, race.t2, first.states, first.truncated),
+            (0, 1, 8, false),
+            "clight_loaded({seed}, 2, true)"
+        );
+        assert_eq!(check_drf(&loaded, &cfg).expect("loads"), first);
     }
 }
 
@@ -439,17 +385,17 @@ fn overbroad_ample_condition_is_caught_by_the_differential() {
     let racy: Vec<Op> = vec![Op::Priv(1), Op::Priv(2), Op::Write(0)];
     let loaded = toy_loaded(&[racy.clone(), racy]);
 
-    let naive = check_drf(&loaded, &cfg_with(Reduction::Off, 1)).expect("loads");
+    let naive = check_drf(&loaded, &cfg_with(Reduction::Off)).expect("loads");
     assert!(!naive.truncated);
     assert!(!naive.is_drf(), "the oracle must see the write-write race");
 
-    let sound = check_drf(&loaded, &cfg_with(Reduction::Ample, 1)).expect("loads");
+    let sound = check_drf(&loaded, &cfg_with(Reduction::Ample)).expect("loads");
     assert!(
         !sound.is_drf(),
         "the shipped ample condition keeps the race"
     );
 
-    let mutated = check_drf(&loaded, &cfg_with(Reduction::AmpleOverbroad, 1)).expect("loads");
+    let mutated = check_drf(&loaded, &cfg_with(Reduction::AmpleOverbroad)).expect("loads");
     assert!(
         mutated.is_drf(),
         "the seeded commutativity bug must miss the race — if this fails, \
@@ -463,7 +409,7 @@ fn overbroad_ample_condition_is_caught_by_the_differential() {
     );
 
     // The fused trace-and-DRF walk is caught the same way.
-    let fused = |r| check_drf_with_traces(&loaded, &cfg_with(r, 1)).expect("loads");
+    let fused = |r| check_drf_with_traces(&loaded, &cfg_with(r)).expect("loads");
     assert!(!fused(Reduction::Ample).1.is_drf());
     let (ts, drf) = fused(Reduction::AmpleOverbroad);
     assert!(!ts.truncated);
@@ -483,10 +429,10 @@ fn overbroad_ample_condition_is_caught_through_traces() {
     let thread = |k: i64| vec![Op::Priv(k), Op::Write(0), Op::Read(0), Op::Print];
     let loaded = toy_loaded(&[thread(1), thread(2)]);
 
-    let naive = collect_traces_preemptive(&loaded, &cfg_with(Reduction::Off, 1)).expect("loads");
-    let sound = collect_traces_preemptive(&loaded, &cfg_with(Reduction::Ample, 1)).expect("loads");
+    let naive = collect_traces_preemptive(&loaded, &cfg_with(Reduction::Off)).expect("loads");
+    let sound = collect_traces_preemptive(&loaded, &cfg_with(Reduction::Ample)).expect("loads");
     let mutated =
-        collect_traces_preemptive(&loaded, &cfg_with(Reduction::AmpleOverbroad, 1)).expect("loads");
+        collect_traces_preemptive(&loaded, &cfg_with(Reduction::AmpleOverbroad)).expect("loads");
     assert!(!naive.truncated && !sound.truncated && !mutated.truncated);
     assert_eq!(
         naive.traces, sound.traces,
@@ -527,34 +473,24 @@ fn skipping_cycle_reexpansion_is_caught_by_the_differential() {
     // engine must refuse an ample set whose successor is already in
     // the visited set and fall back to full expansion, so the racing
     // threads get scheduled past the spin. `AmpleIgnoreCycles` is the
-    // seeded unsoundness — a worker that skips that re-expansion — and
-    // must ample-loop on t0 and report DRF at every worker count, while
-    // the sound engine keeps the race.
+    // seeded unsoundness — a search that skips that re-expansion — and
+    // must ample-loop on t0 and report DRF, while the sound engine keeps
+    // the race.
     let loaded = spin_and_race();
 
-    let naive = check_drf(&loaded, &cfg_with(Reduction::Off, 1)).expect("loads");
+    let naive = check_drf(&loaded, &cfg_with(Reduction::Off)).expect("loads");
     assert!(!naive.truncated);
     assert!(!naive.is_drf(), "the oracle must see the write-write race");
 
-    for workers in [1, 3] {
-        let sound = check_drf(&loaded, &cfg_with(Reduction::Ample, workers)).expect("loads");
-        assert!(
-            !sound.is_drf(),
-            "the shared visited set keeps the race at {workers} workers"
-        );
-    }
+    let sound = check_drf(&loaded, &cfg_with(Reduction::Ample)).expect("loads");
+    assert!(!sound.is_drf(), "the cycle guard keeps the race");
 
-    let mutated = check_drf(&loaded, &cfg_with(Reduction::AmpleIgnoreCycles, 1)).expect("loads");
+    let mutated = check_drf(&loaded, &cfg_with(Reduction::AmpleIgnoreCycles)).expect("loads");
     assert!(
         mutated.is_drf(),
         "the seeded cycle-skipping bug must miss the race — if this fails, \
          the mutant is no longer a mutant and the battery's sensitivity \
          claim is untested"
-    );
-    let mutated_ws = check_drf(&loaded, &cfg_with(Reduction::AmpleIgnoreCycles, 3)).expect("loads");
-    assert!(
-        mutated_ws.is_drf(),
-        "a cycle-skipping worker must also miss the race at 3 workers"
     );
     assert_ne!(
         naive.is_drf(),
@@ -563,7 +499,7 @@ fn skipping_cycle_reexpansion_is_caught_by_the_differential() {
     );
 
     // The fused trace-and-DRF walk is caught the same way, on both facts.
-    let fused = |r| check_drf_with_traces(&loaded, &cfg_with(r, 1)).expect("loads");
+    let fused = |r| check_drf_with_traces(&loaded, &cfg_with(r)).expect("loads");
     let (sound_ts, sound_drf) = fused(Reduction::Ample);
     assert!(!sound_drf.is_drf(), "the fused walk keeps the race");
     assert!(sound_ts.traces.iter().any(|t| !t.events.is_empty()));
@@ -582,10 +518,10 @@ fn skipping_cycle_reexpansion_is_caught_through_traces() {
     // schedules t1 or t2 and sees only the silent divergence, while
     // every sound collection keeps their prints.
     let loaded = spin_and_race();
-    let naive = collect_traces_preemptive(&loaded, &cfg_with(Reduction::Off, 1)).expect("loads");
-    let sound = collect_traces_preemptive(&loaded, &cfg_with(Reduction::Ample, 1)).expect("loads");
-    let mutated = collect_traces_preemptive(&loaded, &cfg_with(Reduction::AmpleIgnoreCycles, 1))
-        .expect("loads");
+    let naive = collect_traces_preemptive(&loaded, &cfg_with(Reduction::Off)).expect("loads");
+    let sound = collect_traces_preemptive(&loaded, &cfg_with(Reduction::Ample)).expect("loads");
+    let mutated =
+        collect_traces_preemptive(&loaded, &cfg_with(Reduction::AmpleIgnoreCycles)).expect("loads");
     assert!(!naive.truncated && !sound.truncated && !mutated.truncated);
     assert_eq!(
         naive.traces, sound.traces,
